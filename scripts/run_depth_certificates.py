@@ -12,13 +12,14 @@ import json
 import time
 
 from lampgrid import certify_depth, exact_distance, make_gn
+from lampgrid.metric import DEFAULT_MEMORY_LIMIT_MB
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=4)
     parser.add_argument("--out", default=None, help="write certificates to this JSON file")
-    parser.add_argument("--memory-limit-mb", type=int, default=2048)
+    parser.add_argument("--memory-limit-mb", type=int, default=DEFAULT_MEMORY_LIMIT_MB)
     args = parser.parse_args()
 
     certificates = []

@@ -5,12 +5,13 @@ import argparse
 import time
 
 from lampgrid import sphere_sizes
+from lampgrid.metric import DEFAULT_MEMORY_LIMIT_MB
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--radius", type=int, default=5)
-    parser.add_argument("--memory-limit-mb", type=int, default=2048)
+    parser.add_argument("--memory-limit-mb", type=int, default=DEFAULT_MEMORY_LIMIT_MB)
     args = parser.parse_args()
 
     start = time.perf_counter()

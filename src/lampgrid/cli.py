@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .core import Element, check_coord, element_to_json, inverse, multiply
+from .core import Element, check_coord, element_to_json, inverse, is_lampstand, multiply
 from .metric import (
     DEFAULT_MEMORY_LIMIT_MB,
     MemoryCapExceeded,
@@ -158,9 +158,8 @@ def render_element(el: Element, window: int | None = None) -> list[str]:
         row = []
         for q in range(-n, n + 1):
             pos = (p, q)
-            lampstand = p == 0 or (q == 0 and p < 0)
             ch = "."
-            if lampstand:
+            if is_lampstand(pos):
                 ch = "o"
             if pos in el.lamps:
                 ch = "*"

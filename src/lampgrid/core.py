@@ -220,28 +220,3 @@ def element_from_json(data: dict) -> Element:
             raise ValueError(f"duplicate lamp {list(lamp)}")
         lamps.add(lamp)
     return Element(frozenset(lamps), pos)
-
-
-def _letters(text: str) -> tuple[tuple[str, int], ...]:
-    out = []
-    for token in text.split():
-        if token.endswith("^-1"):
-            out.append((token[0], -1))
-        else:
-            out.append((token, 1))
-    return tuple(out)
-
-
-# Defining relations, as written presentation-letter sequences.  Each acts
-# as the identity on every state; `act_letters` with any state replays them.
-RELATORS: dict[str, tuple[tuple[str, int], ...]] = {
-    "button-involution": _letters("a a"),
-    "presses-commute": _letters("a^-1 t^-1 a^-1 t a t^-1 a t"),
-    "translations-commute": _letters("s^-1 t^-1 s t"),
-    "press-split": _letters("s^-1 a s t^-1 a^-1 t a^-1"),
-}
-
-# Two spellings of the same element: pressing one s-step over equals
-# pressing here and one t-step over.
-SPLIT_LEFT = _letters("s^-1 a s")
-SPLIT_RIGHT = _letters("a t^-1 a t")

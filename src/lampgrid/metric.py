@@ -18,7 +18,7 @@ same inputs they produce identical counts and certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -380,8 +380,42 @@ def tour_lower_bound(n: int) -> int:
     raise RuntimeError("tour search exhausted its window without closing the tour")
 
 
-def _move_states() -> list[Element]:
-    return [el for _, el in move_elements()]
+# The 17 moves; every search step prepends one of them to a state.
+_MOVES = tuple(el for _, el in move_elements())
+
+
+class _Budget:
+    """Estimated storage of the states one search has recorded, against a cap."""
+
+    def __init__(self, limit_mb: int, search: str):
+        self.limit_mb = limit_mb
+        self.search = search
+        self.left = limit_mb * 1024 * 1024
+
+    def charge(self, g: Element) -> None:
+        self.left -= _ELEMENT_COST + _LAMP_COST * len(g.lamps)
+        if self.left < 0:
+            raise MemoryCapExceeded(f"{self.search} exceeds the {self.limit_mb} MiB cap")
+
+
+def _expand_layer(
+    frontier: list[Element], depths: dict[Element, int], layer: int, budget: _Budget
+) -> list[Element]:
+    """Next breadth-first layer: prepend every move to every frontier state.
+
+    States not yet in ``depths`` are recorded there at ``layer``, charged
+    to ``budget`` and returned in expansion order.  Prepending keeps the
+    product cheap, since a move has at most two lamps to re-expand.
+    """
+    nxt: list[Element] = []
+    for state in frontier:
+        for mv in _MOVES:
+            child = multiply(mv, state)
+            if child not in depths:
+                depths[child] = layer
+                budget.charge(child)
+                nxt.append(child)
+    return nxt
 
 
 def ball_with_depths(
@@ -397,25 +431,11 @@ def ball_with_depths(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    budget = memory_limit_mb * 1024 * 1024
-    spent = 0
+    budget = _Budget(memory_limit_mb, f"ball of radius {radius}")
     depths: dict[Element, int] = {identity(): 0}
     frontier = [identity()]
-    moves = _move_states()
     for depth in range(1, radius + 1):
-        nxt: list[Element] = []
-        for state in frontier:
-            for mv in moves:
-                child = multiply(mv, state)
-                if child not in depths:
-                    depths[child] = depth
-                    spent += _ELEMENT_COST + _LAMP_COST * len(child.lamps)
-                    if spent > budget:
-                        raise MemoryCapExceeded(
-                            f"ball of radius {radius} exceeds the {memory_limit_mb} MiB cap"
-                        )
-                    nxt.append(child)
-        frontier = nxt
+        frontier = _expand_layer(frontier, depths, depth, budget)
     return depths
 
 
@@ -433,58 +453,39 @@ def sphere_sizes(
 def exact_distance(g: Element, max_r: int) -> int:
     """Word length of ``g``, exact whenever it is at most ``max_r``.
 
-    Bidirectional breadth-first search over states, expanding the smaller
-    frontier one full layer at a time.  Raises :class:`RadiusExceeded`
-    when the distance provably exceeds ``max_r``; the exception carries
-    the radius, so the result is a lower bound rather than a number.
+    Bidirectional breadth-first search, expanding the smaller frontier one
+    full layer at a time.  Both sides prepend moves: one grows the ball
+    B(r_a), the other the left translates B(r_b)*g.  Since
+    B(r_b)*B(r_a) = B(r_a + r_b), the two meet exactly when
+    |g| <= r_a + r_b.  Raises :class:`RadiusExceeded` when the distance
+    provably exceeds ``max_r``; the exception carries the radius, so the
+    result is a lower bound rather than a number.  Raises
+    :class:`MemoryCapExceeded` when the states of both sides together
+    outgrow ``DEFAULT_MEMORY_LIMIT_MB``.
     """
     if max_r < 1:
         raise ValueError("max_r must be positive")
     if g == identity():
         return 0
-    moves = _move_states()
+    budget = _Budget(DEFAULT_MEMORY_LIMIT_MB, f"distance search to radius {max_r}")
     dist_a: dict[Element, int] = {identity(): 0}
     dist_b: dict[Element, int] = {g: 0}
     frontier_a = [identity()]
     frontier_b = [g]
     radius_a = radius_b = 0
-    best: int | None = None
-    while True:
-        if best is not None and best <= radius_a + radius_b:
-            return best
-        if radius_a + radius_b >= max_r:
-            if best is not None and best <= max_r:
-                return best
-            raise RadiusExceeded(max_r)
+    while radius_a + radius_b < max_r:
         if len(frontier_a) <= len(frontier_b):
-            own, other, frontier = dist_a, dist_b, frontier_a
             radius_a += 1
-            layer = radius_a
+            frontier_a = _expand_layer(frontier_a, dist_a, radius_a, budget)
+            new, other = frontier_a, dist_b
         else:
-            own, other, frontier = dist_b, dist_a, frontier_b
             radius_b += 1
-            layer = radius_b
-        nxt: list[Element] = []
-        for state in frontier:
-            for mv in moves:
-                child = multiply(state, mv)
-                if child not in own:
-                    own[child] = layer
-                    nxt.append(child)
-                    across = other.get(child)
-                    if across is not None:
-                        candidate = layer + across
-                        if best is None or candidate < best:
-                            best = candidate
-        if own is dist_a:
-            frontier_a = nxt
-        else:
-            frontier_b = nxt
-        if not nxt:
-            # The group is infinite; an empty frontier means max_r boxed us in.
-            if best is not None:
-                return best
-            raise RadiusExceeded(max_r)
+            frontier_b = _expand_layer(frontier_b, dist_b, radius_b, budget)
+            new, other = frontier_b, dist_a
+        # No earlier layer met, so any meeting here gives |g| = r_a + r_b.
+        if any(state in other for state in new):
+            return radius_a + radius_b
+    raise RadiusExceeded(max_r)
 
 
 @dataclass(frozen=True)
@@ -505,15 +506,7 @@ class DepthCertificate:
     failure_witness: str | None
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "ball_radius": self.ball_radius,
-            "neighborhood_size": self.neighborhood_size,
-            "max_witness_length": self.max_witness_length,
-            "verdict": self.verdict,
-            "failure_witness": self.failure_witness,
-        }
+        return asdict(self)
 
     def describe(self) -> str:
         lines = [
@@ -529,7 +522,7 @@ class DepthCertificate:
             lines.append(f"verdict: FAILED at neighbour offset {self.failure_witness}")
         lines.append(
             "note: the 6n lower bound for the anchor rests on the three-line tour"
-            " bound (tour_lower_bound(n) == 6n); for n = 1 it is also confirmed"
+            " bound (tour_lower_bound(n) == 6n); for n <= 2 it is also confirmed"
             " unconditionally by exhaustive search."
         )
         return "\n".join(lines)

@@ -17,9 +17,6 @@ from typing import Callable
 
 from .core import (
     Element,
-    RELATORS,
-    SPLIT_LEFT,
-    SPLIT_RIGHT,
     act_letters,
     identity,
     inverse,
@@ -40,6 +37,9 @@ from .metric import (
 from .words import (
     METRIC,
     METRIC_BASES,
+    RELATORS,
+    SPLIT_LEFT,
+    SPLIT_RIGHT,
     Letter,
     Word,
     a_length,
@@ -329,9 +329,12 @@ def check_gn_distance(max_n: int = 50) -> CheckResult:
             element, word = make_gn(n)
             assert a_length(word) == 6 * n, f"defining word length is not 6n at n={n}"
             assert evaluate(word) == element, f"defining word failed to replay at n={n}"
-        anchor, _ = make_gn(1)
-        assert exact_distance(anchor, 6) == 6, "exhaustive search did not give 6 at n=1"
-        return f"length-6n words replay for n <= {max_n}; n=1 distance is exactly 6"
+        for n in (1, 2):
+            anchor, _ = make_gn(n)
+            assert exact_distance(anchor, 6 * n) == 6 * n, (
+                f"exhaustive search did not give {6 * n} at n={n}"
+            )
+        return f"length-6n words replay for n <= {max_n}; n=1, 2 distances are exactly 6n"
 
     return _run("metric-gn-distance", body)
 

@@ -27,7 +27,7 @@ from .core import (
     COORD_LIMIT,
     Element,
     Pos,
-    apply_letter,
+    act_letters,
     identity,
 )
 
@@ -155,10 +155,7 @@ def expand(word: Word) -> tuple[tuple[str, int], ...]:
 
 def evaluate(word: Word) -> Element:
     """Element represented by ``word``: fold letters rightmost-first."""
-    state = identity()
-    for base, sign in reversed(expand(word)):
-        state = apply_letter(base, sign, state)
-    return state
+    return act_letters(expand(word), identity())
 
 
 def a_length(word: Word) -> int:
@@ -255,3 +252,18 @@ def move_elements() -> tuple[tuple[Letter, Element], ...]:
             if el not in seen:
                 seen[el] = letter
     return tuple((letter, el) for el, letter in seen.items())
+
+
+# Defining relations, as written presentation-letter sequences.  Each acts
+# as the identity on every state; `act_letters` with any state replays them.
+RELATORS: dict[str, tuple[Letter, ...]] = {
+    "button-involution": parse("a a", PRESENTATION).letters,
+    "presses-commute": parse("a^-1 t^-1 a^-1 t a t^-1 a t", PRESENTATION).letters,
+    "translations-commute": parse("s^-1 t^-1 s t", PRESENTATION).letters,
+    "press-split": parse("s^-1 a s t^-1 a^-1 t a^-1", PRESENTATION).letters,
+}
+
+# Two spellings of the same element: pressing one s-step over equals
+# pressing here and one t-step over.
+SPLIT_LEFT = parse("s^-1 a s", PRESENTATION).letters
+SPLIT_RIGHT = parse("a t^-1 a t", PRESENTATION).letters

@@ -2,14 +2,10 @@ import hypothesis.strategies as st
 from hypothesis import settings
 
 from lampgrid import Element, Letter, METRIC, Word
-from lampgrid.words import METRIC_BASES
+from lampgrid.words import METRIC_BASES, lampstand_points
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
-
-
-def lampstand_points(n):
-    return [(-i, 0) for i in range(1, n + 1)] + [(0, j) for j in range(-n, n + 1)]
 
 
 @st.composite

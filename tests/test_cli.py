@@ -1,5 +1,6 @@
 import json
 
+from lampgrid import metric
 from lampgrid.cli import main
 
 
@@ -65,6 +66,12 @@ class TestNumericCommands:
         )
         assert code == 1
         assert "at least 4" in err
+
+    def test_dist_memory_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(metric, "DEFAULT_MEMORY_LIMIT_MB", 0)
+        code, _, err = run(capsys, "dist", "s a s^-1 t a t^-2 a t")
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_spheres(self, capsys):
         code, out, _ = run(capsys, "spheres", "1")

@@ -15,7 +15,8 @@ from lampgrid import (
     parse,
     press_effect,
 )
-from lampgrid.core import RELATORS, SPLIT_LEFT, SPLIT_RIGHT, act_letters
+from lampgrid.core import act_letters
+from lampgrid.words import RELATORS, SPLIT_LEFT, SPLIT_RIGHT
 
 from conftest import elements
 

@@ -28,6 +28,7 @@ from lampgrid import (
     trapezoid_summits,
     witness_word,
 )
+from lampgrid import metric
 from lampgrid.metric import MemoryCapExceeded
 
 from conftest import elements
@@ -196,6 +197,18 @@ class TestExactDistance:
     def test_agrees_with_ball_depths(self):
         for element, depth in ball_with_depths(3).items():
             assert exact_distance(element, 4) == depth
+
+    def test_anchor_two_is_twelve(self):
+        anchor, _ = make_gn(2)
+        assert exact_distance(anchor, 12) == 12
+        with pytest.raises(RadiusExceeded):
+            exact_distance(anchor, 11)
+
+    def test_memory_cap(self, monkeypatch):
+        monkeypatch.setattr(metric, "DEFAULT_MEMORY_LIMIT_MB", 0)
+        anchor, _ = make_gn(1)
+        with pytest.raises(MemoryCapExceeded):
+            exact_distance(anchor, 6)
 
 
 class TestBallAndSpheres:
