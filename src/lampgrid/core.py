@@ -132,11 +132,8 @@ class Element:
     pos: Pos
 
 
-IDENTITY = Element(frozenset(), ORIGIN)
-
-
 def identity() -> Element:
-    return IDENTITY
+    return Element(frozenset(), ORIGIN)
 
 
 def apply_letter(base: str, sign: int, state: Element) -> Element:

@@ -19,8 +19,7 @@ same inputs they produce identical counts and certificates.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-
-import numpy as np
+from sys import getsizeof
 
 from .core import (
     Element,
@@ -44,10 +43,14 @@ from .words import (
 
 DEFAULT_MEMORY_LIMIT_MB = 2048
 
-# Rough CPython accounting for one stored BFS state; used for the soft
-# memory cap, not for exact measurement.
-_ELEMENT_COST = 160
-_LAMP_COST = 100
+# Bytes one recorded search state holds, by sys.getsizeof on the running
+# interpreter: its Element, its position pair and its slot in the depth
+# table; each charge adds the lamp frozenset and one pair per lamp.  States
+# share some lamp pairs, so the charge errs high rather than low.
+_PAIR_COST = getsizeof((0, 0))
+_STATE_COST = (
+    getsizeof(identity()) + _PAIR_COST + getsizeof(dict.fromkeys(range(1024))) // 1024
+)
 
 
 class SingularSystemError(ValueError):
@@ -238,17 +241,18 @@ def witness_word(g: Element) -> Word:
     vertices, then fuses every press into an adjacent move so presses cost
     nothing.  Four plans cover the position (p, q):
 
-    * p >= 0 always starts with an out-and-back along the negative s-axis,
-      lighting the off-axis lamps.
+    * p >= 0 starts with an out-and-back along the negative s-axis to its
+      farthest lamp, lighting the s-axis lamps; with none it skips this.
     * p >= 0 with (p, q) in the lower triangle then tours the whole t-axis
       segment, pressing lamps directly.
     * p >= 0 otherwise descends the t-axis and climbs a trapezoid whose
       summit presses realise the t-axis pattern from positions on the
       remaining two arcs.
     * p < 0 tours the t-axis, then walks an arc parallel to the s-axis at
-      height +/-n; presses on that arc are solved over GF(2) to realise
-      the s-axis lamps, and their side effects on the t-axis are
-      counteracted by extra presses on the segment already walked.
+      height +/-n, out to the farther of p and the farthest arc press;
+      presses on that arc are solved over GF(2) to realise the s-axis
+      lamps, and their side effects on the t-axis are counteracted by
+      extra presses on the segment already walked.
 
     The lone element that presses only the origin button is returned as
     the single letter ``a``; its length 1 exceeds the vacuous bound 6*0,
@@ -264,8 +268,9 @@ def witness_word(g: Element) -> Word:
     t_targets = {lamp for lamp in g.lamps if lamp[0] == 0}
     path: list[Pos] = [(0, 0)]
     if p >= 0:
-        _walk_to(path, (-n, 0))
-        _walk_to(path, (0, 0))
+        if s_targets:
+            _walk_to(path, min(s_targets))
+            _walk_to(path, (0, 0))
         presses = set(s_targets)
         if in_T(g.pos, n):
             _walk_to(path, (0, n))
@@ -285,12 +290,12 @@ def witness_word(g: Element) -> Word:
             presses |= {(row, -p + idx) for row, idx in solution.summits}
     else:
         arc_q = -n if q <= 0 else n
-        _walk_to(path, (0, -arc_q))
-        _walk_to(path, (0, arc_q))
-        _walk_to(path, (-n, arc_q))
         arc = [(-k, arc_q) for k in range(1, n + 1)]
         segment = [(-k, 0) for k in range(1, n + 1)]
         chosen = arc_press_solve(s_targets, arc, segment)
+        _walk_to(path, (0, -arc_q))
+        _walk_to(path, (0, arc_q))
+        _walk_to(path, min(chosen | {(p, arc_q)}))
         presses = set(chosen)
         achieved: set[Pos] = set()
         for vertex in chosen:
@@ -330,54 +335,34 @@ def make_gn(n: int) -> tuple[Element, Word]:
 
 def tour_lower_bound(n: int) -> int:
     """Exact length of a shortest closed lattice walk from the origin that
-    visits the three lines p+q = n, q = -n and p = -n.
+    visits the three lines p+q = n, q = -n and p = -n, with positions
+    confined to the square [-2n, 2n]^2.  Equals 6n.
 
-    Computed by breadth-first search over (position, visited-line subset)
-    states with positions confined to the square [-2n, 2n]^2.  Equals 6n.
+    Such a walk is at least the L1 length of the closed polygon through the
+    origin and its first visits to the three lines, in visiting order; and
+    a monotone lattice path between two points of the square stays in it.
+    So the shortest walk is the least such polygon, minimised exactly over
+    the line visited second (reversing a walk swaps the other two) and the
+    first-visit points inside the square.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0
-    size = 4 * n + 1
-    off = 2 * n
-    coords = np.arange(-2 * n, 2 * n + 1)
-    P = coords[:, None]
-    Q = coords[None, :]
-    linemask = ((P + Q == n) * 1 + (Q == -n) * 2 + (P == -n) * 4).astype(np.uint8)
-    line_cells = [linemask == v for v in range(8)]
-    reach = np.zeros((8, size, size), dtype=bool)
-    frontier = np.zeros_like(reach)
-    reach[0, off, off] = True
-    frontier[0, off, off] = True
-    for depth in range(1, 8 * n + 2):
-        new_frontier = np.zeros_like(reach)
-        progressed = False
-        for mask in range(8):
-            layer = frontier[mask]
-            if not layer.any():
-                continue
-            moved = np.zeros((size, size), dtype=bool)
-            moved[1:, :] |= layer[:-1, :]
-            moved[:-1, :] |= layer[1:, :]
-            moved[:, 1:] |= layer[:, :-1]
-            moved[:, :-1] |= layer[:, 1:]
-            for extra in range(8):
-                cells = moved & line_cells[extra]
-                if not cells.any():
-                    continue
-                combined = mask | extra
-                new = cells & ~reach[combined]
-                if new.any():
-                    reach[combined] |= new
-                    new_frontier[combined] |= new
-                    progressed = True
-        if reach[7, off, off]:
-            return depth
-        if not progressed:
-            break
-        frontier = new_frontier
-    raise RuntimeError("tour search exhausted its window without closing the tour")
+    span = range(-2 * n, 2 * n + 1)
+    lines = (
+        [(p, n - p) for p in range(-n, 2 * n + 1)],
+        [(p, -n) for p in span],
+        [(-n, q) for q in span],
+    )
+
+    def via(line: list[Pos], yp: int, yq: int) -> int:
+        # Shortest L1 route from the origin through a point of ``line`` to (yp, yq).
+        return min(abs(p) + abs(q) + abs(p - yp) + abs(q - yq) for p, q in line)
+
+    return min(
+        via(lines[(m + 1) % 3], yp, yq) + via(lines[(m + 2) % 3], yp, yq)
+        for m in range(3)
+        for yp, yq in lines[m]
+    )
 
 
 # The 17 moves; every search step prepends one of them to a state.
@@ -385,7 +370,7 @@ _MOVES = tuple(el for _, el in move_elements())
 
 
 class _Budget:
-    """Estimated storage of the states one search has recorded, against a cap."""
+    """Storage of the states one search has recorded, against a cap."""
 
     def __init__(self, limit_mb: int, search: str):
         self.limit_mb = limit_mb
@@ -393,7 +378,7 @@ class _Budget:
         self.left = limit_mb * 1024 * 1024
 
     def charge(self, g: Element) -> None:
-        self.left -= _ELEMENT_COST + _LAMP_COST * len(g.lamps)
+        self.left -= _STATE_COST + getsizeof(g.lamps) + _PAIR_COST * len(g.lamps)
         if self.left < 0:
             raise MemoryCapExceeded(f"{self.search} exceeds the {self.limit_mb} MiB cap")
 
@@ -426,8 +411,8 @@ def ball_with_depths(
     Canonicalized breadth-first search: states are deduplicated by their
     normal form, each new layer prepends one of the 17 moves.  Expansion
     order is fixed, so the mapping (and its iteration order) is
-    deterministic.  Raises :class:`MemoryCapExceeded` when the estimated
-    state storage exceeds the cap.
+    deterministic.  Raises :class:`MemoryCapExceeded` when the stored
+    states outgrow the cap.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")

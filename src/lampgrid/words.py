@@ -64,7 +64,6 @@ class Word:
 
 
 EMPTY_METRIC = Word((), METRIC)
-EMPTY_PRESENTATION = Word((), PRESENTATION)
 
 
 def parse(text: str, alphabet: str = METRIC) -> Word:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ import hypothesis.strategies as st
 from lampgrid import (
     Element,
     METRIC,
+    PRESENTATION,
     RadiusExceeded,
     SingularSystemError,
     a_length,
@@ -163,18 +168,69 @@ class TestWitness:
             assert evaluate(word) == g
             assert a_length(word) <= 6 * hex_param(g)
 
+    @pytest.mark.parametrize(
+        "text, length", [("t^3 a s^-2 a t", 14), ("s^2 t^-1 a t", 6)]
+    )
+    def test_no_out_and_back_overshoot(self, text, length):
+        # p < 0 and p >= 0 plans: no s-run walked out and straight back.
+        g = evaluate(parse(text, PRESENTATION))
+        word = witness_word(g)
+        assert evaluate(word) == g
+        assert a_length(word) == length
+        for left, right in zip(word.letters, word.letters[1:]):
+            assert not (left.base == right.base == "s" and left.sign == -right.sign)
+
+
+def walk_tour(n):
+    """Shortest closed walk from the origin through the three tour lines,
+    by BFS over (position, visited-line subset) in the square [-2n, 2n]^2."""
+
+    def lines_at(p, q):
+        return (p + q == n) | (q == -n) << 1 | (p == -n) << 2
+
+    start = (0, 0, lines_at(0, 0))
+    seen = {start}
+    frontier = [start]
+    length = 0
+    while (0, 0, 7) not in seen:
+        assert frontier, "walk search exhausted the square"
+        length += 1
+        nxt = []
+        for p, q, mask in frontier:
+            for x, y in ((p + 1, q), (p - 1, q), (p, q + 1), (p, q - 1)):
+                if max(abs(x), abs(y)) <= 2 * n:
+                    state = (x, y, mask | lines_at(x, y))
+                    if state not in seen:
+                        seen.add(state)
+                        nxt.append(state)
+        frontier = nxt
+    return length
+
 
 class TestTour:
     def test_zero(self):
         assert tour_lower_bound(0) == 0
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 200])
     def test_six_n(self, n):
         assert tour_lower_bound(n) == 6 * n
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_walk_search(self, n):
+        assert tour_lower_bound(n) == walk_tour(n)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             tour_lower_bound(-1)
+
+    def test_import_leaves_numpy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(metric.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, lampgrid; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestExactDistance:
@@ -209,6 +265,31 @@ class TestExactDistance:
         anchor, _ = make_gn(1)
         with pytest.raises(MemoryCapExceeded):
             exact_distance(anchor, 6)
+
+
+class TestBudget:
+    @pytest.mark.parametrize(
+        "search",
+        [lambda: ball_with_depths(6), lambda: exact_distance(make_gn(2)[0], 12)],
+        ids=["ball", "distance"],
+    )
+    def test_charge_covers_traced_peak(self, monkeypatch, search):
+        budgets = []
+
+        class Recording(metric._Budget):
+            def __init__(self, *args):
+                super().__init__(*args)
+                budgets.append(self)
+
+        monkeypatch.setattr(metric, "_Budget", Recording)
+        tracemalloc.start()
+        try:
+            search()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (budget,) = budgets
+        assert budget.limit_mb * 2**20 - budget.left >= peak
 
 
 class TestBallAndSpheres:
