@@ -151,6 +151,8 @@ def render_element(el: Element, window: int | None = None) -> list[str]:
     Orientation: t increases to the right, s increases upward.  The
     rhombic slant is not drawn; positions land on a square grid.
     """
+    if window is not None and window < 0:
+        raise ValueError(f"window must be non-negative, got {window}")
     n = window if window is not None else max(hex_param(el), 2)
     lines = []
     outside = sum(1 for lamp in el.lamps if max(abs(lamp[0]), abs(lamp[1])) > n)

@@ -48,6 +48,7 @@ from .words import (
     evaluate,
     format_word,
     inverse_word,
+    lampstand_points,
     move_elements,
     parse,
     random_element,
@@ -95,12 +96,19 @@ def check_relators(states: int = 1000, seed="relators") -> CheckResult:
 
 
 def check_bilinearity(span: int = 12) -> CheckResult:
+    # The lampstand base case and the split relation together pin every
+    # effect in the box, so this is an oracle independent of the closed form.
     def body() -> str:
+        for lamp in lampstand_points(span):
+            assert press_effect(lamp) == {lamp}, f"press at lamp {lamp} is not a singleton"
         for p in range(-span, span):
             for q in range(-span, span + 1):
                 merged = press_effect((p, q)) ^ press_effect((p, q + 1))
                 assert press_effect((p + 1, q)) == merged, f"split failed at {(p, q)}"
-        return f"effect(p+1,q) == effect(p,q) xor effect(p,q+1) for |p|,|q| <= {span}"
+        return (
+            f"effect(p+1,q) == effect(p,q) xor effect(p,q+1) and single lamps on "
+            f"the lampstand for |p|,|q| <= {span}"
+        )
 
     return _run("core-bilinearity", body)
 

@@ -109,6 +109,12 @@ class TestRender:
         assert code == 0
         assert "*" in out and "L" in out
 
+    def test_negative_window_fails(self, capsys):
+        code, out, err = run(capsys, "render", "a", "--window", "-2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "window" in err
+
 
 class TestSelftest:
     def test_single_suite(self, capsys):

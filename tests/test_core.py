@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -73,6 +75,32 @@ class TestPressEffect:
     @given(st.integers(-9, 9), st.integers(-9, 9))
     def test_effect_lands_on_lampstand(self, p, q):
         assert all(is_lampstand(lamp) for lamp in press_effect((p, q)))
+
+    def test_far_press_is_output_sensitive(self):
+        # 32 lamps, 600 steps from the lampstand: the cost must follow the
+        # lamps out, not the positions between here and the lampstand.
+        press_effect.cache_clear()
+        tracemalloc.start()
+        try:
+            lamps = press_effect((-300, -300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lamps) == 32
+        assert peak < 2**20
+
+    # Effects near +/-2^31 with few lamps; elsewhere out there, such as
+    # (2^31 - 1, 0) or (-5, 2^31), an effect really has some 10^9 lamps.
+    @pytest.mark.parametrize(
+        "p, q", [(-(2**31), -(2**31)), (-(2**31), 2**30), (2**30, -7), (-(2**31), 3)]
+    )
+    def test_split_relation_at_far_coordinates(self, p, q):
+        effects = [press_effect(pos) for pos in ((p + 1, q), (p, q), (p, q + 1))]
+        assert effects[0] == effects[1] ^ effects[2]
+        assert max(map(len, effects)) <= 4
+
+    def test_cache_is_bounded(self):
+        assert press_effect.cache_info().maxsize is not None
 
 
 class TestApplyLetter:
@@ -163,3 +191,8 @@ class TestSerialization:
     def test_rejects_duplicate_lamp(self):
         with pytest.raises(ValueError, match="duplicate"):
             element_from_json({"lamps": [[0, 1], [0, 1]], "pos": [0, 0]})
+
+    @pytest.mark.parametrize("lamps", [5, None, {"0": 1}])
+    def test_rejects_non_list_lamps(self, lamps):
+        with pytest.raises(ValueError, match="'lamps'"):
+            element_from_json({"lamps": lamps, "pos": [0, 0]})
