@@ -34,11 +34,9 @@ from . import selftest
 ENV_PREFIX = "LAMPGRID_"
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None or raw == "":
-        return fallback
-    return cast(raw)
+def _env(name: str, fallback):
+    # Raw text: argparse applies the option's type, so a bad value exits 2.
+    return os.environ.get(ENV_PREFIX + name) or fallback
 
 
 def _env_flag(name: str) -> bool:
@@ -195,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--alphabet",
             choices=(PRESENTATION, METRIC),
-            default=_env("ALPHABET", str, PRESENTATION),
+            default=_env("ALPHABET", PRESENTATION),
             help="alphabet for word arguments (default: presentation)",
         )
         p.add_argument(
@@ -223,16 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="exact distance to the identity")
     common(p, ("word",))
     p.add_argument(
-        "--max-radius", type=int, default=_env("MAX_RADIUS", int, 10),
+        "--max-radius", type=int, default=_env("MAX_RADIUS", 10),
         help="search radius; beyond it only a lower bound is reported",
     )
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("witness", help="geodesic witness word of length <= 6n")
+    p = sub.add_parser("witness", help="witness word of length <= 6n (not always geodesic)")
     common(p, ("word",))
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("tour", help="shortest three-line tour length (equals 6n)")
+    p = sub.add_parser("tour", help="half-plane lower bound 6n on the length of the n-th anchor")
     p.add_argument("n", type=int)
     p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
     p.set_defaults(func=cmd_tour)
@@ -241,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("radius", type=int)
     p.add_argument(
         "--memory-limit-mb", type=int,
-        default=_env("MEMORY_LIMIT_MB", int, DEFAULT_MEMORY_LIMIT_MB),
+        default=_env("MEMORY_LIMIT_MB", DEFAULT_MEMORY_LIMIT_MB),
     )
     p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
     p.set_defaults(func=cmd_spheres)
@@ -251,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument(
         "--memory-limit-mb", type=int,
-        default=_env("MEMORY_LIMIT_MB", int, DEFAULT_MEMORY_LIMIT_MB),
+        default=_env("MEMORY_LIMIT_MB", DEFAULT_MEMORY_LIMIT_MB),
     )
     p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
     p.set_defaults(func=cmd_certify)
@@ -259,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the built-in invariant suites")
     p.add_argument("--suite", action="append", help="run only the named suite (repeatable)")
     p.add_argument(
-        "--seed", type=int, default=_env("SEED", int, None),
+        "--seed", type=int, default=_env("SEED", None),
         help="reseed the randomized suites (default: built-in seeds)",
     )
     p.set_defaults(func=cmd_selftest)

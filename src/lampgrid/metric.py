@@ -9,8 +9,8 @@ Distances are taken in the 17-move metric of the generating set
 with corners (n,0), (-n,0), (0,n), (0,-n), (n,-n), (-n,n).  Any element
 whose lamps and position fit in H_n admits a witness word of length at
 most 6n (:func:`witness_word`), and the triple-lamp elements produced by
-:func:`make_gn` need exactly 6n, which is what the depth certificates in
-:func:`certify_depth` are built on.
+:func:`make_gn` need exactly 6n (:func:`halfplane_bound`), which is what
+the depth certificates in :func:`certify_depth` are built on.
 
 Breadth-first searches here are sequential and deterministic: given the
 same inputs they produce identical counts and certificates.
@@ -60,10 +60,11 @@ class SingularSystemError(ValueError):
 class RadiusExceeded(RuntimeError):
     """The distance is only bounded below: it exceeds the search radius."""
 
-    def __init__(self, max_radius: int):
+    def __init__(self, max_radius: int, bound: int = 0):
         self.max_radius = max_radius
         super().__init__(
-            f"distance exceeds search radius {max_radius}; it is at least {max_radius + 1}"
+            f"distance exceeds search radius {max_radius};"
+            f" it is at least {max(max_radius + 1, bound)}"
         )
 
 
@@ -333,36 +334,31 @@ def make_gn(n: int) -> tuple[Element, Word]:
     return element, Word(tuple(letters), METRIC)
 
 
-def tour_lower_bound(n: int) -> int:
-    """Exact length of a shortest closed lattice walk from the origin that
-    visits the three lines p+q = n, q = -n and p = -n, with positions
-    confined to the square [-2n, 2n]^2.  Equals 6n.
+def halfplane_bound(g: Element) -> int:
+    """Lower bound on the word length of ``g``, in time linear in its lamps.
 
-    Such a walk is at least the L1 length of the closed polygon through the
-    origin and its first visits to the three lines, in visiting order; and
-    a monotone lattice path between two points of the square stays in it.
-    So the shortest walk is the least such polygon, minimised exactly over
-    the line visited second (reversing a walk swaps the other two) and the
-    first-visit points inside the square.
+    It is 2*(max(top, e_p+ + e_q+) + max(far, -e_p, 0) + max(low, -e_q, 0))
+    - |e_p| - |e_q|, with top the highest t-axis lamp index j >= 0, low minus
+    the lowest j < 0, far the largest i with (-i, 0) lit (each 0 if none),
+    (e_p, e_q) = ``g.pos`` and x+ = max(x, 0).  Proof: a press at (p, q)
+    lights a t-axis lamp j >= 0 only from p + q >= j, one j < 0 only from
+    q <= j, and (-i, 0) only from p <= -i (:func:`press_effect`).  Every
+    letter except ``a`` moves the lamplighter one unit, and on a walk each
+    coordinate travels at least twice its range minus its net move.
     """
+    t_axis = [q for p, q in g.lamps if p == 0] + [0]
+    top, low = max(t_axis), -min(t_axis)
+    far = -min([p for p, _ in g.lamps] + [0])
+    ep, eq = g.pos
+    reach = max(top, max(ep, 0) + max(eq, 0))
+    return 2 * (reach + max(far, -ep, 0) + max(low, -eq, 0)) - abs(ep) - abs(eq)
+
+
+def tour_lower_bound(n: int) -> int:
+    """:func:`halfplane_bound` of the anchor of :func:`make_gn` (6n), built in O(1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    span = range(-2 * n, 2 * n + 1)
-    lines = (
-        [(p, n - p) for p in range(-n, 2 * n + 1)],
-        [(p, -n) for p in span],
-        [(-n, q) for q in span],
-    )
-
-    def via(line: list[Pos], yp: int, yq: int) -> int:
-        # Shortest L1 route from the origin through a point of ``line`` to (yp, yq).
-        return min(abs(p) + abs(q) + abs(p - yp) + abs(q - yq) for p, q in line)
-
-    return min(
-        via(lines[(m + 1) % 3], yp, yq) + via(lines[(m + 2) % 3], yp, yq)
-        for m in range(3)
-        for yp, yq in lines[m]
-    )
+    return halfplane_bound(Element(frozenset({(-n, 0), (0, n), (0, -n)}), (0, 0)))
 
 
 # The 17 moves; every search step prepends one of them to a state.
@@ -443,8 +439,8 @@ def exact_distance(g: Element, max_r: int) -> int:
     B(r_a), the other the left translates B(r_b)*g.  Since
     B(r_b)*B(r_a) = B(r_a + r_b), the two meet exactly when
     |g| <= r_a + r_b.  Raises :class:`RadiusExceeded` when the distance
-    provably exceeds ``max_r``; the exception carries the radius, so the
-    result is a lower bound rather than a number.  Raises
+    provably exceeds ``max_r``, at once if :func:`halfplane_bound` does; the
+    exception carries the radius and the lower bound, not a number.  Raises
     :class:`MemoryCapExceeded` when the states of both sides together
     outgrow ``DEFAULT_MEMORY_LIMIT_MB``.
     """
@@ -452,6 +448,8 @@ def exact_distance(g: Element, max_r: int) -> int:
         raise ValueError("max_r must be positive")
     if g == identity():
         return 0
+    if (bound := halfplane_bound(g)) > max_r:
+        raise RadiusExceeded(max_r, bound)
     budget = _Budget(DEFAULT_MEMORY_LIMIT_MB, f"distance search to radius {max_r}")
     dist_a: dict[Element, int] = {identity(): 0}
     dist_b: dict[Element, int] = {g: 0}
@@ -506,9 +504,8 @@ class DepthCertificate:
         else:
             lines.append(f"verdict: FAILED at neighbour offset {self.failure_witness}")
         lines.append(
-            "note: the 6n lower bound for the anchor rests on the three-line tour"
-            " bound (tour_lower_bound(n) == 6n); for n <= 2 it is also confirmed"
-            " unconditionally by exhaustive search."
+            "note: the anchor's length 6n is proved: halfplane_bound gives the"
+            " lower side and the defining word of make_gn the upper side."
         )
         return "\n".join(lines)
 
@@ -525,6 +522,7 @@ def certify_depth(
     stay inside the radius-n hexagon (k <= n grid steps from the origin,
     and presses inside the hexagon only toggle lamps inside it), so each
     admits a witness word, which is replayed and measured against 6n.
+    That |u| = 6n is checked too: its :func:`halfplane_bound` must be 6n.
 
     Requires 0 <= k <= n; the hexagon argument does not reach further.
     """
@@ -533,9 +531,9 @@ def certify_depth(
     if not 0 <= k <= n:
         raise ValueError("certify_depth requires 0 <= k <= n")
     anchor, _ = make_gn(n)
-    if multiply(anchor, anchor) != identity():
-        raise RuntimeError("anchor is expected to be an involution")
     bound = 6 * n
+    if multiply(anchor, anchor) != identity() or halfplane_bound(anchor) != bound:
+        raise RuntimeError("anchor is expected to be an involution of length 6n")
     depths = ball_with_depths(k, memory_limit_mb)
     max_length = 0
     for b in depths:

@@ -27,6 +27,7 @@ from .metric import (
     ball_with_depths,
     certify_depth,
     exact_distance,
+    halfplane_bound,
     hex_param,
     in_hex,
     make_gn,
@@ -312,6 +313,7 @@ def check_witness(
             else:
                 assert length <= 6 * hex_param(g), "ball witness exceeded the 6n bound"
             assert length >= depth, "witness shorter than the exact distance"
+            assert halfplane_bound(g) <= depth, "half-plane bound above the exact distance"
         return (
             f"{samples} random elements with hex <= {max_hex}"
             f" and all {len(depths)} elements of the radius-{ball_radius} ball"
@@ -355,7 +357,7 @@ def check_depth(max_n: int = 4) -> CheckResult:
             assert certificate.verdict == "certified", f"certification failed at n={n}"
             assert certificate.max_witness_length <= 6 * n
             sizes.append(certificate.neighborhood_size)
-        # unconditional cross-check at n=1: every actual neighbour is inside
+        # independent cross-check at n=1: every actual neighbour is inside
         # the radius-6 ball by exhaustive bidirectional search
         anchor, _ = make_gn(1)
         for b in ball_with_depths(1):

@@ -79,7 +79,7 @@ def test_c08_anchor_distance_is_6n():
 
 def test_c09_dead_end_depth_at_desk_scale():
     _report(9, selftest.check_depth(max_n=4), limit=120.0)
-    # spelled-out unconditional cross-check for n=1, neighbour by neighbour
+    # spelled-out exhaustive cross-check for n=1, neighbour by neighbour
     anchor, _ = make_gn(1)
     for b in ball_with_depths(1):
         assert exact_distance(multiply(anchor, b), 6) <= 6

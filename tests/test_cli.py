@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from lampgrid import metric
 from lampgrid.cli import main
@@ -55,6 +58,13 @@ class TestNumericCommands:
         assert code == 0
         assert out.strip() == "18"
 
+    def test_tour_at_the_input_limit(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "tour", "2147483647")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.strip() == "12884901882"
+
     def test_dist(self, capsys):
         code, out, _ = run(capsys, "dist", "s a s^-1 t a t^-2 a t")
         assert code == 0
@@ -65,7 +75,7 @@ class TestNumericCommands:
             capsys, "dist", "s a s^-1 t a t^-2 a t", "--max-radius", "3"
         )
         assert code == 1
-        assert "at least 4" in err
+        assert "radius 3; it is at least 6" in err
 
     def test_dist_memory_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(metric, "DEFAULT_MEMORY_LIMIT_MB", 0)
@@ -133,7 +143,15 @@ class TestEnvironmentDefaults:
         monkeypatch.setenv("LAMPGRID_MAX_RADIUS", "3")
         code, _, err = run(capsys, "dist", "s a s^-1 t a t^-2 a t")
         assert code == 1
-        assert "at least 4" in err
+        assert "radius 3; it is at least 6" in err
+
+    def test_malformed_env_integer_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("LAMPGRID_MAX_RADIUS", "abc")
+        with pytest.raises(SystemExit) as info:
+            main(["dist", "a"])
+        assert info.value.code == 2
+        assert "--max-radius" in capsys.readouterr().err
+        assert run(capsys, "eval", "a")[0] == 0
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LAMPGRID_MAX_RADIUS", "3")

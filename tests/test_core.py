@@ -27,6 +27,27 @@ def ev(text):
     return evaluate(parse(text, "presentation"))
 
 
+# Effects near +/-2^31 with few lamps; elsewhere out there, such as
+# (2^31 - 1, 0) or (-5, 2^31), an effect really has some 10^9 lamps.
+FAR_POINTS = [(-(2**31), -(2**31)), (-(2**31), 2**30), (2**30, -7), (-(2**31), 3)]
+
+
+def obeys_half_planes(p, q):
+    """The support rule behind halfplane_bound: a press at (p, q) lights a
+    t-axis lamp j >= 0 only if j <= p + q, one j < 0 only if j >= q, and
+    (-i, 0) only if -i >= p."""
+    for lp, lq in press_effect((p, q)):
+        if lp != 0:
+            ok = lp >= p
+        elif lq >= 0:
+            ok = lq <= p + q
+        else:
+            ok = lq >= q
+        if not ok:
+            return False
+    return True
+
+
 class TestLampstand:
     def test_t_axis(self):
         assert is_lampstand((0, 7))
@@ -89,15 +110,25 @@ class TestPressEffect:
         assert len(lamps) == 32
         assert peak < 2**20
 
-    # Effects near +/-2^31 with few lamps; elsewhere out there, such as
-    # (2^31 - 1, 0) or (-5, 2^31), an effect really has some 10^9 lamps.
-    @pytest.mark.parametrize(
-        "p, q", [(-(2**31), -(2**31)), (-(2**31), 2**30), (2**30, -7), (-(2**31), 3)]
-    )
+    @pytest.mark.parametrize("p, q", FAR_POINTS)
     def test_split_relation_at_far_coordinates(self, p, q):
         effects = [press_effect(pos) for pos in ((p + 1, q), (p, q), (p, q + 1))]
         assert effects[0] == effects[1] ^ effects[2]
         assert max(map(len, effects)) <= 4
+
+    def test_support_in_half_planes(self):
+        bad = [
+            (p, q)
+            for p in range(-30, 31)
+            for q in range(-30, 31)
+            if not obeys_half_planes(p, q)
+        ]
+        assert bad == []
+
+    @pytest.mark.parametrize("p, q", FAR_POINTS)
+    def test_support_in_half_planes_at_far_coordinates(self, p, q):
+        for pos in ((p + 1, q), (p, q), (p, q + 1)):
+            assert obeys_half_planes(*pos)
 
     def test_cache_is_bounded(self):
         assert press_effect.cache_info().maxsize is not None

@@ -20,6 +20,7 @@ from lampgrid import (
     certify_depth,
     evaluate,
     exact_distance,
+    halfplane_bound,
     hex_param,
     identity,
     in_T,
@@ -181,28 +182,29 @@ class TestWitness:
             assert not (left.base == right.base == "s" and left.sign == -right.sign)
 
 
-def walk_tour(n):
-    """Shortest closed walk from the origin through the three tour lines,
-    by BFS over (position, visited-line subset) in the square [-2n, 2n]^2."""
+def walk_tour(top, low, far, end):
+    """Shortest lattice walk from the origin to ``end`` that meets the
+    half-planes p+q >= top, q <= -low and p <= -far, by BFS over (position,
+    met half-plane subset).  The search stops at the first layer reaching
+    the goal, so it needs no window."""
 
-    def lines_at(p, q):
-        return (p + q == n) | (q == -n) << 1 | (p == -n) << 2
+    def met(p, q):
+        return (p + q >= top) | (q <= -low) << 1 | (p <= -far) << 2
 
-    start = (0, 0, lines_at(0, 0))
+    start = (0, 0, met(0, 0))
+    goal = (*end, 7)
     seen = {start}
     frontier = [start]
     length = 0
-    while (0, 0, 7) not in seen:
-        assert frontier, "walk search exhausted the square"
+    while goal not in seen:
         length += 1
         nxt = []
         for p, q, mask in frontier:
             for x, y in ((p + 1, q), (p - 1, q), (p, q + 1), (p, q - 1)):
-                if max(abs(x), abs(y)) <= 2 * n:
-                    state = (x, y, mask | lines_at(x, y))
-                    if state not in seen:
-                        seen.add(state)
-                        nxt.append(state)
+                state = (x, y, mask | met(x, y))
+                if state not in seen:
+                    seen.add(state)
+                    nxt.append(state)
         frontier = nxt
     return length
 
@@ -217,7 +219,10 @@ class TestTour:
 
     @pytest.mark.parametrize("n", range(9))
     def test_matches_walk_search(self, n):
-        assert tour_lower_bound(n) == walk_tour(n)
+        assert tour_lower_bound(n) == walk_tour(n, n, n, (0, 0))
+
+    def test_at_the_input_limit(self):
+        assert tour_lower_bound(2**31) == 6 * 2**31
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -231,6 +236,26 @@ class TestTour:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "False"
+
+
+class TestHalfplaneBound:
+    def test_ball_depths(self):
+        # a lower bound everywhere, and exact on B(7) but for the origin press
+        off = {
+            g: (bound, depth)
+            for g, depth in ball_with_depths(7).items()
+            if (bound := halfplane_bound(g)) != depth
+        }
+        assert off == {A_ELEMENT: (0, 1)}
+
+    @pytest.mark.parametrize("top", range(4))
+    def test_matches_walk_search(self, top):
+        for low in range(4):
+            for far in range(4):
+                lamps = {(0, top), (0, -low), (-far, 0)} - {(0, 0)}
+                for end in [(-2, 0), (0, 0), (1, -2), (2, 1), (-1, 3), (3, -3)]:
+                    g = Element(frozenset(lamps), end)
+                    assert halfplane_bound(g) == walk_tour(top, low, far, end), (g, end)
 
 
 class TestExactDistance:
@@ -248,6 +273,20 @@ class TestExactDistance:
         anchor, _ = make_gn(1)
         with pytest.raises(RadiusExceeded) as info:
             exact_distance(anchor, 3)
+        assert info.value.max_radius == 3
+
+    def test_bound_gives_up_before_searching(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched although the bound exceeds the radius")
+
+        monkeypatch.setattr(metric, "_expand_layer", no_search)
+        with pytest.raises(RadiusExceeded, match="radius 17; it is at least 18"):
+            exact_distance(make_gn(3)[0], 17)
+
+    def test_search_gives_up_without_the_bound(self, monkeypatch):
+        monkeypatch.setattr(metric, "halfplane_bound", lambda g: 0)
+        with pytest.raises(RadiusExceeded, match="radius 3; it is at least 4") as info:
+            exact_distance(make_gn(1)[0], 3)
         assert info.value.max_radius == 3
 
     def test_agrees_with_ball_depths(self):
