@@ -11,7 +11,7 @@ import argparse
 import json
 import time
 
-from lampgrid import certify_depth, exact_distance, make_gn
+from lampgrid import certify_depth, make_gn, search_distance
 from lampgrid.metric import DEFAULT_MEMORY_LIMIT_MB
 
 
@@ -38,7 +38,7 @@ def main() -> int:
             return 1
 
     anchor, _ = make_gn(1)
-    assert exact_distance(anchor, 6) == 6
+    assert search_distance(anchor, 6) == 6
     print("n=1 anchor distance confirmed exactly 6 by bidirectional search")
 
     if args.out:

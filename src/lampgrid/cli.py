@@ -18,7 +18,6 @@ import sys
 
 from .core import Element, check_coord, element_to_json, inverse, is_lampstand, multiply
 from .metric import (
-    DEFAULT_MEMORY_LIMIT_MB,
     MemoryCapExceeded,
     RadiusExceeded,
     certify_depth,
@@ -29,7 +28,7 @@ from .metric import (
     witness_word,
 )
 from .words import METRIC, PRESENTATION, WordError, a_length, evaluate, format_word, parse
-from . import selftest
+from . import metric, selftest
 
 ENV_PREFIX = "LAMPGRID_"
 
@@ -82,7 +81,7 @@ def cmd_inv(args) -> int:
 
 def cmd_dist(args) -> int:
     el = evaluate(parse(args.word, args.alphabet))
-    distance = exact_distance(el, args.max_radius)
+    distance = exact_distance(el, args.max_radius, args.memory_limit_mb)
     print(json.dumps({"distance": distance}) if args.json else distance)
     return 0
 
@@ -187,6 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def memory_cap(p):
+        # Read at parse time, so the cap follows metric.DEFAULT_MEMORY_LIMIT_MB.
+        p.add_argument(
+            "--memory-limit-mb", type=int,
+            default=_env("MEMORY_LIMIT_MB", metric.DEFAULT_MEMORY_LIMIT_MB),
+            help="memory cap for the search, in MiB",
+        )
+
     def common(p, word_args=()):
         for name in word_args:
             p.add_argument(name)
@@ -218,12 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("word",))
     p.set_defaults(func=cmd_inv)
 
-    p = sub.add_parser("dist", help="exact distance to the identity")
+    p = sub.add_parser(
+        "dist",
+        help="exact distance to the identity: the half-plane bound when a box"
+        " tour of that length replays, otherwise a bidirectional search",
+    )
     common(p, ("word",))
     p.add_argument(
         "--max-radius", type=int, default=_env("MAX_RADIUS", 10),
         help="search radius; beyond it only a lower bound is reported",
     )
+    memory_cap(p)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("witness", help="witness word of length <= 6n (not always geodesic)")
@@ -237,20 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spheres", help="sphere sizes |S(0)|..|S(r)|")
     p.add_argument("radius", type=int)
-    p.add_argument(
-        "--memory-limit-mb", type=int,
-        default=_env("MEMORY_LIMIT_MB", DEFAULT_MEMORY_LIMIT_MB),
-    )
+    memory_cap(p)
     p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
     p.set_defaults(func=cmd_spheres)
 
     p = sub.add_parser("certify-depth", help="certify dead-end depth > k for the n-th anchor")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument(
-        "--memory-limit-mb", type=int,
-        default=_env("MEMORY_LIMIT_MB", DEFAULT_MEMORY_LIMIT_MB),
-    )
+    memory_cap(p)
     p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
     p.set_defaults(func=cmd_certify)
 

@@ -48,9 +48,15 @@ DEFAULT_MEMORY_LIMIT_MB = 2048
 # table; each charge adds the lamp frozenset and one pair per lamp.  States
 # share some lamp pairs, so the charge errs high rather than low.
 _PAIR_COST = getsizeof((0, 0))
-_STATE_COST = (
-    getsizeof(identity()) + _PAIR_COST + getsizeof(dict.fromkeys(range(1024))) // 1024
-)
+_SLOT_COST = getsizeof(dict.fromkeys(range(1024))) // 1024
+_INT_COST = getsizeof(2**30)
+_STATE_COST = getsizeof(identity()) + _PAIR_COST + _SLOT_COST
+# A box-tour vertex holds its position pair and coordinates, an entry in the
+# vertex set, the first-visit map and the press-effect cache, and a cache
+# node and replay letters about one more pair in size.  A segment lamp holds
+# an entry in the segment and in the solver's index, and its bit number.
+_VERTEX_COST = 2 * _PAIR_COST + 3 * _SLOT_COST + 2 * _INT_COST
+_SEGMENT_COST = 2 * _SLOT_COST + _INT_COST
 
 
 class SingularSystemError(ValueError):
@@ -216,21 +222,24 @@ def _walk_to(path: list[Pos], target: Pos) -> None:
 
 def _word_from_path(path: list[Pos], presses: set[Pos]) -> Word:
     """Fuse presses into the moves of ``path`` at each press's first visit."""
-    times = set()
+    # Built from the end, so each position keeps the index of its first visit.
+    first = dict(zip(reversed(path), range(len(path) - 1, -1, -1)))
+    pressed = [False] * len(path)
     for pos in presses:
         try:
-            times.add(path.index(pos))
-        except ValueError:
+            pressed[first[pos]] = True
+        except KeyError:
             raise RuntimeError(f"press position {pos} is not on the planned path") from None
     moves = len(path) - 1
     if moves == 0:
-        return Word((Letter("a", 1),), METRIC) if times else EMPTY_METRIC
-    chrono = []
-    for i in range(moves):
-        pre = i == 0 and 0 in times
-        post = (i + 1) in times
-        delta = (path[i + 1][0] - path[i][0], path[i + 1][1] - path[i][1])
-        chrono.append(_MOVE_LETTERS[(delta, pre, post)])
+        return Word((Letter("a", 1),), METRIC) if presses else EMPTY_METRIC
+    # Only the first move presses before stepping; every later vertex is
+    # pressed after the step onto it.
+    before = [pressed[0]] + [False] * (moves - 1)
+    chrono = [
+        _MOVE_LETTERS[(q[0] - p[0], q[1] - p[1]), pre, post]
+        for p, q, pre, post in zip(path, path[1:], before, pressed[1:])
+    ]
     return Word(tuple(reversed(chrono)), METRIC)
 
 
@@ -346,12 +355,28 @@ def halfplane_bound(g: Element) -> int:
     letter except ``a`` moves the lamplighter one unit, and on a walk each
     coordinate travels at least twice its range minus its net move.
     """
+    (p_lo, q_lo), (p_hi, q_hi) = _box(g)
+    ep, eq = g.pos
+    return 2 * (p_hi - p_lo + q_hi - q_lo) - abs(ep) - abs(eq)
+
+
+def _box(g: Element) -> tuple[Pos, Pos]:
+    """Corners (-F, -D) and (P, Q) of the box behind :func:`halfplane_bound`.
+
+    F = max(far, -e_p, 0), D = max(low, -e_q, 0), P = e_p+ and
+    Q = max(top, e_p+ + e_q+) - P, so twice the box's width plus height is
+    the bracketed sum of the bound.  (P, Q) meets p + q >= top, the bottom
+    side q <= -low and the left side p <= -far.
+    """
     t_axis = [q for p, q in g.lamps if p == 0] + [0]
     top, low = max(t_axis), -min(t_axis)
     far = -min([p for p, _ in g.lamps] + [0])
     ep, eq = g.pos
-    reach = max(top, max(ep, 0) + max(eq, 0))
-    return 2 * (reach + max(far, -ep, 0) + max(low, -eq, 0)) - abs(ep) - abs(eq)
+    p_hi = max(ep, 0)
+    return (
+        (-max(far, -ep, 0), -max(low, -eq, 0)),
+        (p_hi, max(top, p_hi + max(eq, 0)) - p_hi),
+    )
 
 
 def tour_lower_bound(n: int) -> int:
@@ -373,10 +398,13 @@ class _Budget:
         self.search = search
         self.left = limit_mb * 1024 * 1024
 
-    def charge(self, g: Element) -> None:
-        self.left -= _STATE_COST + getsizeof(g.lamps) + _PAIR_COST * len(g.lamps)
+    def spend(self, size: int) -> None:
+        self.left -= size
         if self.left < 0:
             raise MemoryCapExceeded(f"{self.search} exceeds the {self.limit_mb} MiB cap")
+
+    def charge(self, g: Element) -> None:
+        self.spend(_STATE_COST + getsizeof(g.lamps) + _PAIR_COST * len(g.lamps))
 
 
 def _expand_layer(
@@ -431,26 +459,100 @@ def sphere_sizes(
     return counts
 
 
-def exact_distance(g: Element, max_r: int) -> int:
+def box_tour_word(g: Element, budget: _Budget | None = None) -> Word | None:
+    """Word for ``g`` along a walk of :func:`halfplane_bound`\\ (g) moves, or None.
+
+    The walk leaves the origin, goes round the box of :func:`_box` through
+    corners picked by the signs of ``g.pos`` and ends there, so each
+    coordinate travels twice the box's extent in it minus its net move.
+    Presses at the walk's vertices that reproduce ``g.lamps`` are solved
+    over GF(2), on the union of the vertices' press effects, and fused into
+    the moves.  Returns None when no subset of the vertices lights
+    ``g.lamps``.  The word is not replayed here.  The walk and the press
+    system are charged to ``budget`` (default: a fresh one at
+    ``DEFAULT_MEMORY_LIMIT_MB``) before they are built.
+    """
+    if budget is None:
+        budget = _Budget(DEFAULT_MEMORY_LIMIT_MB, "box tour")
+    (p_lo, q_lo), (p_hi, q_hi) = _box(g)
+    ep, eq = g.pos
+    if ep >= 0 and eq >= 0:
+        corners = [(p_lo, 0), (p_lo, q_lo), (p_hi, q_hi)]
+    elif eq >= 0:
+        corners = [(0, q_lo), (p_hi, q_hi), (p_lo, q_hi)]
+    elif ep >= 0:
+        corners = [(p_lo, 0), (p_hi, q_hi), (p_hi, q_lo)]
+    else:
+        corners = [(p_hi, q_hi), (p_lo, q_lo)]
+    budget.spend(_VERTEX_COST * (halfplane_bound(g) + 1))
+    path: list[Pos] = [(0, 0)]
+    for corner in corners + [g.pos]:
+        _walk_to(path, corner)
+    vertices = list(dict.fromkeys(path))
+    segment: dict[Pos, None] = {}
+    for vertex in vertices:
+        effect = press_effect(vertex)
+        budget.spend(getsizeof(effect) + (_PAIR_COST + _INT_COST) * len(effect))
+        segment.update(dict.fromkeys(effect))
+    # Each vertex's column and elimination record: two masks over the
+    # segment, one over the vertices and a pair.
+    column = getsizeof(1 << len(segment))
+    budget.spend(
+        _SEGMENT_COST * len(segment)
+        + len(vertices) * (2 * column + getsizeof(1 << len(vertices)) + _PAIR_COST)
+    )
+    try:
+        presses = arc_press_solve(g.lamps, vertices, segment)
+    except SingularSystemError:
+        return None
+    return _word_from_path(path, presses)
+
+
+def exact_distance(
+    g: Element, max_r: int, memory_limit_mb: int | None = None
+) -> int:
     """Word length of ``g``, exact whenever it is at most ``max_r``.
+
+    First :func:`box_tour_word`: when it spells ``g`` in exactly
+    :func:`halfplane_bound`\\ (g) letters, checked by replay, that bound is
+    the length.  Otherwise (the origin press ``a`` is the one element known
+    to need it) :func:`search_distance` answers.  Raises
+    :class:`RadiusExceeded` when the distance provably exceeds ``max_r``,
+    at once if :func:`halfplane_bound` does; the exception carries the
+    radius and the lower bound, not a number.  Raises
+    :class:`MemoryCapExceeded` when the tour and the search together
+    outgrow ``memory_limit_mb`` (default ``DEFAULT_MEMORY_LIMIT_MB``, read
+    at call time).
+    """
+    if max_r < 1:
+        raise ValueError("max_r must be positive")
+    if (bound := halfplane_bound(g)) > max_r:
+        raise RadiusExceeded(max_r, bound)
+    if memory_limit_mb is None:
+        memory_limit_mb = DEFAULT_MEMORY_LIMIT_MB
+    budget = _Budget(memory_limit_mb, f"distance search to radius {max_r}")
+    word = box_tour_word(g, budget)
+    if word is not None and a_length(word) == bound and evaluate(word) == g:
+        return bound
+    return search_distance(g, max_r, budget)
+
+
+def search_distance(g: Element, max_r: int, budget: _Budget | None = None) -> int:
+    """Word length of ``g`` by exhaustive search, if it is at most ``max_r``.
 
     Bidirectional breadth-first search, expanding the smaller frontier one
     full layer at a time.  Both sides prepend moves: one grows the ball
     B(r_a), the other the left translates B(r_b)*g.  Since
     B(r_b)*B(r_a) = B(r_a + r_b), the two meet exactly when
-    |g| <= r_a + r_b.  Raises :class:`RadiusExceeded` when the distance
-    provably exceeds ``max_r``, at once if :func:`halfplane_bound` does; the
-    exception carries the radius and the lower bound, not a number.  Raises
-    :class:`MemoryCapExceeded` when the states of both sides together
-    outgrow ``DEFAULT_MEMORY_LIMIT_MB``.
+    |g| <= r_a + r_b.  It uses neither the half-plane bound nor the box
+    tour, so it is also their oracle.  Raises :class:`RadiusExceeded` past
+    ``max_r`` and :class:`MemoryCapExceeded` when the states of both sides
+    outgrow ``budget`` (default: a fresh one at ``DEFAULT_MEMORY_LIMIT_MB``).
     """
-    if max_r < 1:
-        raise ValueError("max_r must be positive")
+    if budget is None:
+        budget = _Budget(DEFAULT_MEMORY_LIMIT_MB, f"distance search to radius {max_r}")
     if g == identity():
         return 0
-    if (bound := halfplane_bound(g)) > max_r:
-        raise RadiusExceeded(max_r, bound)
-    budget = _Budget(DEFAULT_MEMORY_LIMIT_MB, f"distance search to radius {max_r}")
     dist_a: dict[Element, int] = {identity(): 0}
     dist_b: dict[Element, int] = {g: 0}
     frontier_a = [identity()]

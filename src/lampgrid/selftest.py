@@ -25,12 +25,13 @@ from .core import (
 )
 from .metric import (
     ball_with_depths,
+    box_tour_word,
     certify_depth,
-    exact_distance,
     halfplane_bound,
     hex_param,
     in_hex,
     make_gn,
+    search_distance,
     tour_lower_bound,
     trapezoid_summits,
     witness_word,
@@ -314,9 +315,14 @@ def check_witness(
                 assert length <= 6 * hex_param(g), "ball witness exceeded the 6n bound"
             assert length >= depth, "witness shorter than the exact distance"
             assert halfplane_bound(g) <= depth, "half-plane bound above the exact distance"
+            if g != _A_ELEMENT:
+                tour = box_tour_word(g)
+                assert tour is not None and evaluate(tour) == g, "box tour failed to replay"
+                assert a_length(tour) == depth, "box tour is not a geodesic"
         return (
             f"{samples} random elements with hex <= {max_hex}"
             f" and all {len(depths)} elements of the radius-{ball_radius} ball"
+            " (box tours geodesic but at a)"
         )
 
     return _run("metric-witness", body)
@@ -341,7 +347,7 @@ def check_gn_distance(max_n: int = 50) -> CheckResult:
             assert evaluate(word) == element, f"defining word failed to replay at n={n}"
         for n in (1, 2):
             anchor, _ = make_gn(n)
-            assert exact_distance(anchor, 6 * n) == 6 * n, (
+            assert search_distance(anchor, 6 * n) == 6 * n, (
                 f"exhaustive search did not give {6 * n} at n={n}"
             )
         return f"length-6n words replay for n <= {max_n}; n=1, 2 distances are exactly 6n"
@@ -361,7 +367,7 @@ def check_depth(max_n: int = 4) -> CheckResult:
         # the radius-6 ball by exhaustive bidirectional search
         anchor, _ = make_gn(1)
         for b in ball_with_depths(1):
-            assert exact_distance(multiply(anchor, b), 6) <= 6, (
+            assert search_distance(multiply(anchor, b), 6) <= 6, (
                 "a neighbour of the n=1 anchor left the radius-6 ball"
             )
         return f"certified depth > n for n in 1..{max_n}; ball sizes {sizes}"

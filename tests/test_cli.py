@@ -83,6 +83,21 @@ class TestNumericCommands:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_dist_memory_cap_of_the_search(self, capsys, monkeypatch):
+        monkeypatch.setattr(metric, "box_tour_word", lambda g, budget=None: None)
+        code, out, _ = run(capsys, "dist", "s a s^-1 t a t^-2 a t")
+        assert (code, out.strip()) == (0, "6")
+        code, _, err = run(capsys, "dist", "s a s^-1 t a t^-2 a t", "--memory-limit-mb", "0")
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_dist_memory_limit_flag(self, capsys):
+        # a always reaches the search: its bound 0 is below its length 1
+        assert run(capsys, "dist", "a")[:2] == (0, "1\n")
+        code, _, err = run(capsys, "dist", "a", "--memory-limit-mb", "0")
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_spheres(self, capsys):
         code, out, _ = run(capsys, "spheres", "1")
         assert code == 0
@@ -152,6 +167,12 @@ class TestEnvironmentDefaults:
         assert info.value.code == 2
         assert "--max-radius" in capsys.readouterr().err
         assert run(capsys, "eval", "a")[0] == 0
+
+    def test_env_sets_dist_memory_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("LAMPGRID_MEMORY_LIMIT_MB", "0")
+        code, _, err = run(capsys, "dist", "a")
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LAMPGRID_MAX_RADIUS", "3")

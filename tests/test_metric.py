@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from lampgrid import (
     a_length,
     arc_press_solve,
     ball_with_depths,
+    box_tour_word,
     certify_depth,
     evaluate,
     exact_distance,
@@ -29,6 +32,8 @@ from lampgrid import (
     multiply,
     parse,
     press_effect,
+    random_element,
+    search_distance,
     sphere_sizes,
     tour_lower_bound,
     trapezoid_summits,
@@ -41,6 +46,36 @@ from conftest import elements
 
 
 A_ELEMENT = Element(frozenset({(0, 0)}), (0, 0))
+
+# Word lengths of all of H_2, written once by an exhaustive search.  Digit m
+# of a line is the element at (p, q) lighting the H2_STAND points picked by
+# the bits of m.
+H2_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "h2_distances.txt"
+H2_STAND = ((-2, 0), (-1, 0), (0, -2), (0, -1), (0, 0), (0, 1), (0, 2))
+
+
+def h2_lengths() -> dict:
+    lengths = {}
+    for line in H2_TABLE.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        p, q, digits = line.split()
+        for mask, digit in enumerate(digits):
+            lamps = frozenset(pt for i, pt in enumerate(H2_STAND) if mask >> i & 1)
+            lengths[Element(lamps, (int(p), int(q)))] = int(digit, 16)
+    return lengths
+
+
+def search_only(g, max_r, memory_limit_mb=None):
+    """``exact_distance`` with the box tour made to fail, so the BFS answers."""
+    with mock.patch.object(metric, "box_tour_word", lambda g, budget=None: None):
+        return exact_distance(g, max_r, memory_limit_mb)
+
+
+def cold_tour(g):
+    """``exact_distance`` of a tour-answered ``g``, press effects uncached."""
+    press_effect.cache_clear()
+    assert exact_distance(g, halfplane_bound(g)) == halfplane_bound(g)
 
 
 class TestHexagon:
@@ -305,12 +340,74 @@ class TestExactDistance:
         with pytest.raises(MemoryCapExceeded):
             exact_distance(anchor, 6)
 
+    def test_memory_cap_of_the_search(self):
+        anchor, _ = make_gn(1)
+        assert search_only(anchor, 6) == 6
+        with pytest.raises(MemoryCapExceeded):
+            search_only(anchor, 6, memory_limit_mb=0)
+
+    def test_memory_limit_argument(self):
+        with pytest.raises(MemoryCapExceeded):
+            exact_distance(make_gn(1)[0], 6, memory_limit_mb=0)
+        assert exact_distance(make_gn(1)[0], 6, memory_limit_mb=1) == 6
+
+    def test_tour_answers_without_search(self, monkeypatch):
+        depths = ball_with_depths(7)
+
+        def no_search(*args):
+            raise AssertionError("searched although the box tour should answer")
+
+        monkeypatch.setattr(metric, "_expand_layer", no_search)
+        for g, depth in depths.items():
+            if g != A_ELEMENT:
+                assert exact_distance(g, 7) == depth, g
+        monkeypatch.undo()
+        assert exact_distance(A_ELEMENT, 7) == 1
+
+    def test_h2_table(self):
+        lengths = h2_lengths()
+        assert len(lengths) == 2432
+        for g, length in lengths.items():
+            assert exact_distance(g, 12) == length, g
+
+    def test_search_agrees_with_ball_depths(self):
+        for element, depth in ball_with_depths(3).items():
+            assert search_distance(element, 4) == depth
+
+
+class TestBoxTour:
+    @pytest.mark.parametrize("n", [2, 6, 12, 24, 48, 96])
+    def test_replays_at_the_bound(self, n):
+        for seed in range(100):
+            g = random_element(n, seed)
+            if g == A_ELEMENT:
+                continue
+            word = box_tour_word(g)
+            assert word is not None, (n, seed)
+            assert evaluate(word) == g, (n, seed)
+            assert a_length(word) == halfplane_bound(g), (n, seed)
+
+    def test_origin_press_is_one_letter_over(self):
+        word = box_tour_word(A_ELEMENT)
+        assert evaluate(word) == A_ELEMENT
+        assert (a_length(word), halfplane_bound(A_ELEMENT)) == (1, 0)
+
+    def test_memory_cap_before_walking(self):
+        far = Element(frozenset(), (2**31, 0))
+        with pytest.raises(MemoryCapExceeded):
+            box_tour_word(far, metric._Budget(1, "box tour"))
+
 
 class TestBudget:
     @pytest.mark.parametrize(
         "search",
-        [lambda: ball_with_depths(6), lambda: exact_distance(make_gn(2)[0], 12)],
-        ids=["ball", "distance"],
+        [
+            lambda: ball_with_depths(6),
+            lambda: exact_distance(make_gn(2)[0], 12),
+            lambda: search_only(make_gn(2)[0], 12),
+            lambda: cold_tour(random_element(24, 3)),
+        ],
+        ids=["ball", "distance", "distance-search", "distance-wide-tour"],
     )
     def test_charge_covers_traced_peak(self, monkeypatch, search):
         budgets = []
