@@ -227,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "dist",
-        help="exact distance to the identity: the half-plane bound when a box"
-        " tour of that length replays, otherwise a bidirectional search",
+        help="exact distance to the identity: the half-plane bound (1 for a),"
+        " proved by a box tour of that length that is replayed, with no search",
     )
     common(p, ("word",))
     p.add_argument(

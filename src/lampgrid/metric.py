@@ -393,10 +393,11 @@ _MOVES = tuple(el for _, el in move_elements())
 class _Budget:
     """Storage of the states one search has recorded, against a cap."""
 
-    def __init__(self, limit_mb: int, search: str):
-        self.limit_mb = limit_mb
+    def __init__(self, limit_mb: int | None, search: str):
+        # None is the module default, read now rather than at definition.
+        self.limit_mb = DEFAULT_MEMORY_LIMIT_MB if limit_mb is None else limit_mb
         self.search = search
-        self.left = limit_mb * 1024 * 1024
+        self.left = self.limit_mb * 1024 * 1024
 
     def spend(self, size: int) -> None:
         self.left -= size
@@ -459,21 +460,50 @@ def sphere_sizes(
     return counts
 
 
-def box_tour_word(g: Element, budget: _Budget | None = None) -> Word | None:
-    """Word for ``g`` along a walk of :func:`halfplane_bound`\\ (g) moves, or None.
+def box_tour_word(g: Element, budget: _Budget | None = None) -> Word:
+    """Word for ``g`` along a walk of :func:`halfplane_bound`\\ (g) moves.
 
     The walk leaves the origin, goes round the box of :func:`_box` through
     corners picked by the signs of ``g.pos`` and ends there, so each
     coordinate travels twice the box's extent in it minus its net move.
     Presses at the walk's vertices that reproduce ``g.lamps`` are solved
     over GF(2), on the union of the vertices' press effects, and fused into
-    the moves.  Returns None when no subset of the vertices lights
-    ``g.lamps``.  The word is not replayed here.  The walk and the press
-    system are charged to ``budget`` (default: a fresh one at
-    ``DEFAULT_MEMORY_LIMIT_MB``) before they are built.
+    the moves, so the word has :func:`halfplane_bound`\\ (g) letters (one,
+    ``a``, for the origin press, whose bound is 0).  The word is not
+    replayed here.  The walk and the press system are charged to
+    ``budget`` (default: a fresh one at ``DEFAULT_MEMORY_LIMIT_MB``) before
+    they are built.
+
+    The presses always exist.  Let (-F, -D) and (P, Q) be the corners of
+    the box.  The lamps of ``g`` lie on the s-axis at (-F..-1, 0) and on
+    the t-axis at (0, -D..P+Q).  A walked lampstand vertex toggles just its
+    own lamp, and a press at (p, q) is x^q (1+x)^p (:func:`press_effect`).
+    Each leg of the walk adjusts p before q (:func:`_walk_to`), so by the
+    signs of (e_p, e_q) = ``g.pos`` it covers:
+
+    * e_p >= 0 and e_q >= 0: the s-axis out to -F; the row q = -D for
+      p = 0..P, giving x^-D (1+x)^p; the column p = P for q = -D..Q, giving
+      x^q (1+x)^P.  The two families have dimensions P+1 and D+Q+1 and, as
+      x and 1+x are coprime, share only x^-D (1+x)^P, so they span every
+      t-axis pattern on -D..P+Q.  Presses at p >= 0 light no s-axis lamp.
+    * e_p < 0 <= e_q (so P = 0): the t-axis from -D to Q.  The press at
+      (-k, Q), k = 1..F, lights (-k, 0), other s-axis lamps nearer the
+      origin and t-axis lamps in 0..Q-k, all of them walked, so the s-axis
+      is solved from -F inward and the t-axis lamp by lamp.
+    * e_q < 0 <= e_p: the s-axis directly; the row q = 0 for p = 0..P and
+      the column p = P for q = -D..Q, which share only (1+x)^P and span the
+      t-axis as in the first case.
+    * both negative (so P = 0): the t-axis from 0 to Q, and the column
+      p = -F for q = -D..-1.  The press at (-F, q) has lowest t-axis lamp
+      q, its other t-axis lamps in q+1..-1 and its s-axis lamps in -F..-1,
+      so the column solves the negative t-axis bottom-up.  The row q = Q
+      then solves the s-axis as in the second case.
+
+    Hence :func:`arc_press_solve` never raises :class:`SingularSystemError`
+    here; :func:`exact_distance` replays the word on every call regardless.
     """
     if budget is None:
-        budget = _Budget(DEFAULT_MEMORY_LIMIT_MB, "box tour")
+        budget = _Budget(None, "box tour")
     (p_lo, q_lo), (p_hi, q_hi) = _box(g)
     ep, eq = g.pos
     if ep >= 0 and eq >= 0:
@@ -501,11 +531,7 @@ def box_tour_word(g: Element, budget: _Budget | None = None) -> Word | None:
         _SEGMENT_COST * len(segment)
         + len(vertices) * (2 * column + getsizeof(1 << len(vertices)) + _PAIR_COST)
     )
-    try:
-        presses = arc_press_solve(g.lamps, vertices, segment)
-    except SingularSystemError:
-        return None
-    return _word_from_path(path, presses)
+    return _word_from_path(path, arc_press_solve(g.lamps, vertices, segment))
 
 
 def exact_distance(
@@ -513,31 +539,31 @@ def exact_distance(
 ) -> int:
     """Word length of ``g``, exact whenever it is at most ``max_r``.
 
-    First :func:`box_tour_word`: when it spells ``g`` in exactly
-    :func:`halfplane_bound`\\ (g) letters, checked by replay, that bound is
-    the length.  Otherwise (the origin press ``a`` is the one element known
-    to need it) :func:`search_distance` answers.  Raises
-    :class:`RadiusExceeded` when the distance provably exceeds ``max_r``,
-    at once if :func:`halfplane_bound` does; the exception carries the
-    radius and the lower bound, not a number.  Raises
-    :class:`MemoryCapExceeded` when the tour and the search together
-    outgrow ``memory_limit_mb`` (default ``DEFAULT_MEMORY_LIMIT_MB``, read
-    at call time).
+    The length is max(:func:`halfplane_bound`\\ (g), [g != 1]), and every
+    call proves it without a search: the half-plane lemma, and the one
+    letter every element but the identity needs, give the lower side, and
+    :func:`box_tour_word`, replayed here, spells ``g`` in exactly that many
+    letters.  Raises :class:`RadiusExceeded` at once when that length
+    exceeds ``max_r``; the exception carries the radius and the length as
+    a lower bound, not a number.  Raises :class:`MemoryCapExceeded` when
+    the tour outgrows ``memory_limit_mb`` (default
+    ``DEFAULT_MEMORY_LIMIT_MB``, read at call time), and ``RuntimeError``
+    if the tour fails to replay at that length, which would refute the
+    proof in :func:`box_tour_word`.  :func:`search_distance` is the
+    independent oracle.
     """
     if max_r < 1:
         raise ValueError("max_r must be positive")
-    if (bound := halfplane_bound(g)) > max_r:
-        raise RadiusExceeded(max_r, bound)
-    if memory_limit_mb is None:
-        memory_limit_mb = DEFAULT_MEMORY_LIMIT_MB
-    budget = _Budget(memory_limit_mb, f"distance search to radius {max_r}")
-    word = box_tour_word(g, budget)
-    if word is not None and a_length(word) == bound and evaluate(word) == g:
-        return bound
-    return search_distance(g, max_r, budget)
+    lower = max(halfplane_bound(g), int(g != identity()))
+    if lower > max_r:
+        raise RadiusExceeded(max_r, lower)
+    word = box_tour_word(g, _Budget(memory_limit_mb, f"distance to radius {max_r}"))
+    if a_length(word) != lower or evaluate(word) != g:
+        raise RuntimeError(f"the box tour does not replay in {lower} letters")
+    return lower
 
 
-def search_distance(g: Element, max_r: int, budget: _Budget | None = None) -> int:
+def search_distance(g: Element, max_r: int, memory_limit_mb: int | None = None) -> int:
     """Word length of ``g`` by exhaustive search, if it is at most ``max_r``.
 
     Bidirectional breadth-first search, expanding the smaller frontier one
@@ -545,12 +571,12 @@ def search_distance(g: Element, max_r: int, budget: _Budget | None = None) -> in
     B(r_a), the other the left translates B(r_b)*g.  Since
     B(r_b)*B(r_a) = B(r_a + r_b), the two meet exactly when
     |g| <= r_a + r_b.  It uses neither the half-plane bound nor the box
-    tour, so it is also their oracle.  Raises :class:`RadiusExceeded` past
-    ``max_r`` and :class:`MemoryCapExceeded` when the states of both sides
-    outgrow ``budget`` (default: a fresh one at ``DEFAULT_MEMORY_LIMIT_MB``).
+    tour, so it is the oracle of :func:`exact_distance`.  Raises
+    :class:`RadiusExceeded` past ``max_r`` and :class:`MemoryCapExceeded`
+    when the states of both sides outgrow ``memory_limit_mb`` (default
+    ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).
     """
-    if budget is None:
-        budget = _Budget(DEFAULT_MEMORY_LIMIT_MB, f"distance search to radius {max_r}")
+    budget = _Budget(memory_limit_mb, f"distance search to radius {max_r}")
     if g == identity():
         return 0
     dist_a: dict[Element, int] = {identity(): 0}

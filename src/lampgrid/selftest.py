@@ -300,6 +300,11 @@ def check_witness(
             witness = witness_word(g)
             assert evaluate(witness) == g, "witness failed to replay"
             assert a_length(witness) <= 6 * hex_param(g), "witness exceeded the 6n bound"
+            tour = box_tour_word(g)
+            assert evaluate(tour) == g, "box tour failed to replay"
+            assert a_length(tour) == halfplane_bound(g) + (g == _A_ELEMENT), (
+                "box tour is not at the half-plane bound"
+            )
         # the origin press is the single exception to the bound: its hexagon
         # parameter is 0 yet any spelling needs one letter
         lone = witness_word(_A_ELEMENT)
@@ -315,14 +320,13 @@ def check_witness(
                 assert length <= 6 * hex_param(g), "ball witness exceeded the 6n bound"
             assert length >= depth, "witness shorter than the exact distance"
             assert halfplane_bound(g) <= depth, "half-plane bound above the exact distance"
-            if g != _A_ELEMENT:
-                tour = box_tour_word(g)
-                assert tour is not None and evaluate(tour) == g, "box tour failed to replay"
-                assert a_length(tour) == depth, "box tour is not a geodesic"
+            tour = box_tour_word(g)
+            assert evaluate(tour) == g, "box tour failed to replay"
+            assert a_length(tour) == depth, "box tour is not a geodesic"
         return (
             f"{samples} random elements with hex <= {max_hex}"
             f" and all {len(depths)} elements of the radius-{ball_radius} ball"
-            " (box tours geodesic but at a)"
+            " (box tours at the half-plane bound, geodesic in the ball)"
         )
 
     return _run("metric-witness", body)

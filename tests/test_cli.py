@@ -83,16 +83,20 @@ class TestNumericCommands:
         assert code == 1
         assert err.startswith("error:")
 
-    def test_dist_memory_cap_of_the_search(self, capsys, monkeypatch):
-        monkeypatch.setattr(metric, "box_tour_word", lambda g, budget=None: None)
+    def test_dist_never_searches(self, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("dist searched")
+
+        monkeypatch.setattr(metric, "_expand_layer", no_search)
         code, out, _ = run(capsys, "dist", "s a s^-1 t a t^-2 a t")
         assert (code, out.strip()) == (0, "6")
+        assert run(capsys, "dist", "a")[:2] == (0, "1\n")
         code, _, err = run(capsys, "dist", "s a s^-1 t a t^-2 a t", "--memory-limit-mb", "0")
         assert code == 1
         assert err.startswith("error:")
 
     def test_dist_memory_limit_flag(self, capsys):
-        # a always reaches the search: its bound 0 is below its length 1
+        # a's one-letter tour is charged to the cap like any other
         assert run(capsys, "dist", "a")[:2] == (0, "1\n")
         code, _, err = run(capsys, "dist", "a", "--memory-limit-mb", "0")
         assert code == 1

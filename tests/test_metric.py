@@ -4,7 +4,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +40,7 @@ from lampgrid import (
 )
 from lampgrid import metric
 from lampgrid.metric import MemoryCapExceeded
+from lampgrid.words import lampstand_points
 
 from conftest import elements
 
@@ -66,10 +66,8 @@ def h2_lengths() -> dict:
     return lengths
 
 
-def search_only(g, max_r, memory_limit_mb=None):
-    """``exact_distance`` with the box tour made to fail, so the BFS answers."""
-    with mock.patch.object(metric, "box_tour_word", lambda g, budget=None: None):
-        return exact_distance(g, max_r, memory_limit_mb)
+def no_search(*args):
+    raise AssertionError("searched although the box tour should answer")
 
 
 def cold_tour(g):
@@ -321,7 +319,7 @@ class TestExactDistance:
     def test_search_gives_up_without_the_bound(self, monkeypatch):
         monkeypatch.setattr(metric, "halfplane_bound", lambda g: 0)
         with pytest.raises(RadiusExceeded, match="radius 3; it is at least 4") as info:
-            exact_distance(make_gn(1)[0], 3)
+            search_distance(make_gn(1)[0], 3)
         assert info.value.max_radius == 3
 
     def test_agrees_with_ball_depths(self):
@@ -342,9 +340,9 @@ class TestExactDistance:
 
     def test_memory_cap_of_the_search(self):
         anchor, _ = make_gn(1)
-        assert search_only(anchor, 6) == 6
+        assert search_distance(anchor, 6) == 6
         with pytest.raises(MemoryCapExceeded):
-            search_only(anchor, 6, memory_limit_mb=0)
+            search_distance(anchor, 6, memory_limit_mb=0)
 
     def test_memory_limit_argument(self):
         with pytest.raises(MemoryCapExceeded):
@@ -353,19 +351,14 @@ class TestExactDistance:
 
     def test_tour_answers_without_search(self, monkeypatch):
         depths = ball_with_depths(7)
-
-        def no_search(*args):
-            raise AssertionError("searched although the box tour should answer")
-
         monkeypatch.setattr(metric, "_expand_layer", no_search)
         for g, depth in depths.items():
-            if g != A_ELEMENT:
-                assert exact_distance(g, 7) == depth, g
-        monkeypatch.undo()
+            assert exact_distance(g, 7) == depth, g
         assert exact_distance(A_ELEMENT, 7) == 1
 
-    def test_h2_table(self):
+    def test_h2_table(self, monkeypatch):
         lengths = h2_lengths()
+        monkeypatch.setattr(metric, "_expand_layer", no_search)
         assert len(lengths) == 2432
         for g, length in lengths.items():
             assert exact_distance(g, 12) == length, g
@@ -387,6 +380,19 @@ class TestBoxTour:
             assert evaluate(word) == g, (n, seed)
             assert a_length(word) == halfplane_bound(g), (n, seed)
 
+    def test_replays_at_the_bound_on_every_h3_lamp_set(self):
+        # All four sign cases of the position, their boundaries, and
+        # positions far outside the lamps' box.
+        stand = lampstand_points(3)
+        for p in (-7, -1, 0, 1, 7):
+            for q in (-7, -1, 0, 1, 7):
+                for mask in range(1 << len(stand)):
+                    lamps = frozenset(pt for i, pt in enumerate(stand) if mask >> i & 1)
+                    g = Element(lamps, (p, q))
+                    word = box_tour_word(g)
+                    assert evaluate(word) == g, g
+                    assert a_length(word) == halfplane_bound(g) + (g == A_ELEMENT), g
+
     def test_origin_press_is_one_letter_over(self):
         word = box_tour_word(A_ELEMENT)
         assert evaluate(word) == A_ELEMENT
@@ -404,7 +410,7 @@ class TestBudget:
         [
             lambda: ball_with_depths(6),
             lambda: exact_distance(make_gn(2)[0], 12),
-            lambda: search_only(make_gn(2)[0], 12),
+            lambda: search_distance(make_gn(2)[0], 12),
             lambda: cold_tour(random_element(24, 3)),
         ],
         ids=["ball", "distance", "distance-search", "distance-wide-tour"],
@@ -485,7 +491,7 @@ class TestCertifyDepth:
     def test_neighbours_confirmed_by_search(self):
         anchor, _ = make_gn(1)
         for b in ball_with_depths(1):
-            assert exact_distance(multiply(anchor, b), 6) <= 6
+            assert search_distance(multiply(anchor, b), 6) <= 6
 
     def test_json_schema(self):
         certificate = certify_depth(2, 2)
