@@ -6,13 +6,12 @@ are ``(p, q)`` where ``p`` counts steps in the s-direction and ``q`` steps
 in the t-direction.  Lamps live on the *lampstand*: the whole t-axis
 together with the strictly negative s-axis.
 
-Generator actions:
-
-* ``s`` and ``t`` translate the lamplighter by one grid unit.
-* ``a`` presses the button at the lamplighter's position.  On the
-  lampstand this toggles the single lamp underfoot.  Off the lampstand it
-  sets off a bifurcating signal that resolves into finitely many lampstand
-  toggles; see :func:`press_effect`.
+The lamplighter moves by unit translations in either direction, and a
+press of the button at its position toggles the single lamp underfoot on
+the lampstand.  Off the lampstand a press sets off a bifurcating signal
+that resolves into finitely many lampstand toggles; see
+:func:`press_effect`.  Words, and how their letters act, are read in
+:mod:`lampgrid.words`.
 
 The action is regular, so a group element is determined by its effect on
 the empty state.  :class:`Element` stores exactly that: the set of lamps
@@ -115,29 +114,6 @@ class Element:
 
 def identity() -> Element:
     return Element(frozenset(), ORIGIN)
-
-
-def apply_letter(base: str, sign: int, state: Element) -> Element:
-    """Act by a single presentation letter.
-
-    ``a`` is an involution, so its sign is ignored; ``s`` and ``t``
-    translate by ``sign`` in their direction.
-    """
-    p, q = state.pos
-    if base == "s":
-        return Element(state.lamps, (p + sign, q))
-    if base == "t":
-        return Element(state.lamps, (p, q + sign))
-    if base == "a":
-        return Element(state.lamps ^ press_effect(state.pos), state.pos)
-    raise ValueError(f"unknown presentation letter {base!r}")
-
-
-def act_letters(letters, state: Element) -> Element:
-    """Fold a written presentation-letter sequence, rightmost letter first."""
-    for base, sign in reversed(letters):
-        state = apply_letter(base, sign, state)
-    return state
 
 
 def shift_presses(lamps: LampSet, shift: Pos) -> LampSet:

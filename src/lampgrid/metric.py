@@ -30,6 +30,7 @@ from .core import (
 )
 from .gf2 import solve_subset_xor
 from .words import (
+    ACTIONS,
     EMPTY_METRIC,
     METRIC,
     Letter,
@@ -190,20 +191,13 @@ def arc_press_solve(target, arc, segment) -> set[Pos]:
     return {arc[i] for i in range(len(arc)) if combo >> i & 1}
 
 
-# Letter for one unit move, keyed by (delta, press before, press after).
-# Reading right to left, "at" steps in t and then presses, "ta" presses
-# and then steps, and inverses swap the roles.
-_MOVE_LETTERS: dict[tuple[Pos, bool, bool], Letter] = {}
-for _delta, _plain, _pre, _post, _both in (
-    ((0, 1), ("t", 1), ("ta", 1), ("at", 1), ("ata", 1)),
-    ((0, -1), ("t", -1), ("at", -1), ("ta", -1), ("ata", -1)),
-    ((1, 0), ("s", 1), ("sa", 1), ("as", 1), ("asa", 1)),
-    ((-1, 0), ("s", -1), ("as", -1), ("sa", -1), ("asa", -1)),
-):
-    _MOVE_LETTERS[(_delta, False, False)] = Letter(*_plain)
-    _MOVE_LETTERS[(_delta, True, False)] = Letter(*_pre)
-    _MOVE_LETTERS[(_delta, False, True)] = Letter(*_post)
-    _MOVE_LETTERS[(_delta, True, True)] = Letter(*_both)
+# Letter for one unit move, keyed by (delta, press before, press after):
+# the inverse of ACTIONS over the 16 letters that step.
+_MOVE_LETTERS: dict[tuple[Pos, bool, bool], Letter] = {
+    (step, before, after): letter
+    for letter, (before, step, after) in ACTIONS.items()
+    if step != (0, 0)
+}
 
 
 def _walk_to(path: list[Pos], target: Pos) -> None:

@@ -4,8 +4,10 @@ Each check returns a :class:`CheckResult`; a failure carries a short
 description of the first offending case.  Where a check pits the
 production code against an oracle, the oracle here is an independent
 route: Pascal rows grow by the additive recurrence, the trapezoid is
-cross-solved by dense GF(2) elimination, and witnesses are replayed
-through the letter-by-letter evaluator.
+cross-solved by dense GF(2) elimination, and witnesses are replayed by
+evaluating their words, a route apart from the constructions that built
+them.  Checks raise
+explicitly rather than by ``assert``, so they hold under ``python -O``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Callable
 
 from .core import (
     Element,
-    act_letters,
     identity,
     inverse,
     multiply,
@@ -45,6 +46,7 @@ from .words import (
     Letter,
     Word,
     a_length,
+    act_letters,
     canonical_word,
     concat,
     evaluate,
@@ -67,13 +69,23 @@ class CheckResult:
     seconds: float
 
 
+def _check(condition: bool, message: str) -> None:
+    # An explicit raise, unlike `assert`, still checks under `python -O`.
+    if not condition:
+        raise AssertionError(message)
+
+
 def _run(name: str, body: Callable[[], str]) -> CheckResult:
+    """Run one suite; any exception it raises fails that suite alone."""
     start = time.perf_counter()
     try:
         detail = body()
         ok = True
     except AssertionError as exc:
         detail = str(exc) or "assertion failed"
+        ok = False
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}"
         ok = False
     return CheckResult(name, ok, detail, time.perf_counter() - start)
 
@@ -88,10 +100,10 @@ def check_relators(states: int = 1000, seed="relators") -> CheckResult:
         for state in _random_states(states, seed):
             for name, letters in RELATORS.items():
                 acted = act_letters(letters, state)
-                assert acted == state, f"relator {name} moved a state"
+                _check(acted == state, f"relator {name} moved a state")
             left = act_letters(SPLIT_LEFT, state)
             right = act_letters(SPLIT_RIGHT, state)
-            assert left == right, "the two press-split spellings acted differently"
+            _check(left == right, "the two press-split spellings acted differently")
         return f"{states} states, {len(RELATORS)} relators, split identity"
 
     return _run("core-relators", body)
@@ -102,11 +114,11 @@ def check_bilinearity(span: int = 12) -> CheckResult:
     # effect in the box, so this is an oracle independent of the closed form.
     def body() -> str:
         for lamp in lampstand_points(span):
-            assert press_effect(lamp) == {lamp}, f"press at lamp {lamp} is not a singleton"
+            _check(press_effect(lamp) == {lamp}, f"press at lamp {lamp} is not a singleton")
         for p in range(-span, span):
             for q in range(-span, span + 1):
                 merged = press_effect((p, q)) ^ press_effect((p, q + 1))
-                assert press_effect((p + 1, q)) == merged, f"split failed at {(p, q)}"
+                _check(press_effect((p + 1, q)) == merged, f"split failed at {(p, q)}")
         return (
             f"effect(p+1,q) == effect(p,q) xor effect(p,q+1) and single lamps on "
             f"the lampstand for |p|,|q| <= {span}"
@@ -132,7 +144,7 @@ def check_pascal(max_row: int = 16, q_span: int = 8) -> CheckResult:
             expected_offsets = [r for r, bit in enumerate(rows[p]) if bit]
             for q in range(-q_span, q_span + 1):
                 expected = frozenset((0, q + r) for r in expected_offsets)
-                assert press_effect((p, q)) == expected, f"row {p} mismatch at q={q}"
+                _check(press_effect((p, q)) == expected, f"row {p} mismatch at q={q}")
         return f"rows 0..{max_row} match the additive parity oracle for |q| <= {q_span}"
 
     return _run("core-pascal", body)
@@ -150,7 +162,7 @@ def check_hexagon(max_n: int = 12) -> CheckResult:
         for n in range(max_n + 1):
             for pos in _hex_points(n):
                 for lamp in press_effect(pos):
-                    assert in_hex(lamp, n), f"press at {pos} escapes the hexagon H_{n}"
+                    _check(in_hex(lamp, n), f"press at {pos} escapes the hexagon H_{n}")
         return f"press effects stay inside H_n for all n <= {max_n}"
 
     return _run("core-hexagon", body)
@@ -171,7 +183,7 @@ def check_conjugates(samples: int = 150, seed="conjugates") -> CheckResult:
         for _ in range(samples):
             x = rng.choice(presses)
             y = rng.choice(presses)
-            assert multiply(x, y) == multiply(y, x), "conjugate presses failed to commute"
+            _check(multiply(x, y) == multiply(y, x), "conjugate presses failed to commute")
         return f"{samples} sampled press conjugates pairwise commute"
 
     return _run("core-conjugates", body)
@@ -191,11 +203,13 @@ def check_homomorphism(pairs: int = 500, max_len: int = 40, seed="hom") -> Check
         for _ in range(pairs):
             u = _random_metric_word(rng, max_len)
             v = _random_metric_word(rng, max_len)
-            assert evaluate(concat(u, v)) == multiply(evaluate(u), evaluate(v)), (
-                "concatenation disagreed with multiply"
+            _check(
+                evaluate(concat(u, v)) == multiply(evaluate(u), evaluate(v)),
+                "concatenation disagreed with multiply",
             )
-            assert evaluate(inverse_word(u)) == inverse(evaluate(u)), (
-                "word inversion disagreed with inverse"
+            _check(
+                evaluate(inverse_word(u)) == inverse(evaluate(u)),
+                "word inversion disagreed with inverse",
             )
         return f"{pairs} word pairs of length <= {max_len}"
 
@@ -207,9 +221,9 @@ def check_word_roundtrip(samples: int = 300, seed="roundtrip") -> CheckResult:
         rng = random.Random(f"rt:{seed}")
         for _ in range(samples):
             w = _random_metric_word(rng, 25)
-            assert parse(format_word(w), METRIC) == w, "format/parse failed to round-trip"
+            _check(parse(format_word(w), METRIC) == w, "format/parse failed to round-trip")
             g = random_element(rng.randint(1, 10), rng.random())
-            assert evaluate(canonical_word(g)) == g, "canonical word failed to replay"
+            _check(evaluate(canonical_word(g)) == g, "canonical word failed to replay")
         relator_words = [
             " ".join(f"{b}^{s}" for b, s in letters) for letters in RELATORS.values()
         ]
@@ -224,7 +238,7 @@ def check_word_roundtrip(samples: int = 300, seed="roundtrip") -> CheckResult:
                 + w.letters[cut:],
                 METRIC,
             )
-            assert evaluate(spliced) == base, "relator insertion changed the value"
+            _check(evaluate(spliced) == base, "relator insertion changed the value")
         return f"{samples} round-trips, {samples // 3} relator insertions"
 
     return _run("words-roundtrip", body)
@@ -276,14 +290,17 @@ def check_trapezoid(max_m: int = 10) -> CheckResult:
                             [1 if (0, j) in press_effect((lev, u)) else 0 for lev, u in cells]
                         )
                     solved = _dense_gf2_solve(matrix, bits)
-                    assert solved is not None, f"oracle found no solution (m={m}, r={rows})"
+                    _check(
+                        solved is not None,
+                        f"oracle found no solution (m={m}, r={rows})",
+                    )
                     oracle = frozenset(c for c, x in zip(cells, solved) if x)
-                    assert solution.summits == oracle, f"summits differ (m={m}, r={rows})"
+                    _check(solution.summits == oracle, f"summits differ (m={m}, r={rows})")
                     replay: set = set()
                     for lev, u in solution.summits:
                         replay ^= press_effect((lev, u))
                     expected = {(0, j) for j in range(m) if bits[j]}
-                    assert replay == expected, f"replay mismatch (m={m}, r={rows})"
+                    _check(replay == expected, f"replay mismatch (m={m}, r={rows})")
         return f"{instances} instances, elimination oracle and press replay agree"
 
     return _run("metric-trapezoid", body)
@@ -298,31 +315,35 @@ def check_witness(
         pool.append(identity())
         for g in pool:
             witness = witness_word(g)
-            assert evaluate(witness) == g, "witness failed to replay"
-            assert a_length(witness) <= 6 * hex_param(g), "witness exceeded the 6n bound"
+            _check(evaluate(witness) == g, "witness failed to replay")
+            _check(a_length(witness) <= 6 * hex_param(g), "witness exceeded the 6n bound")
             tour = box_tour_word(g)
-            assert evaluate(tour) == g, "box tour failed to replay"
-            assert a_length(tour) == halfplane_bound(g) + (g == _A_ELEMENT), (
-                "box tour is not at the half-plane bound"
+            _check(evaluate(tour) == g, "box tour failed to replay")
+            _check(
+                a_length(tour) == halfplane_bound(g) + (g == _A_ELEMENT),
+                "box tour is not at the half-plane bound",
             )
         # the origin press is the single exception to the bound: its hexagon
         # parameter is 0 yet any spelling needs one letter
         lone = witness_word(_A_ELEMENT)
-        assert lone == Word((Letter("a", 1),), METRIC), "origin press should be the letter a"
+        _check(
+            lone == Word((Letter("a", 1),), METRIC),
+            "origin press should be the letter a",
+        )
         depths = ball_with_depths(ball_radius)
         for g, depth in depths.items():
             witness = witness_word(g)
-            assert evaluate(witness) == g, "ball witness failed to replay"
+            _check(evaluate(witness) == g, "ball witness failed to replay")
             length = a_length(witness)
             if g == _A_ELEMENT:
-                assert length == 1
+                _check(length == 1, "origin press witness is not one letter")
             else:
-                assert length <= 6 * hex_param(g), "ball witness exceeded the 6n bound"
-            assert length >= depth, "witness shorter than the exact distance"
-            assert halfplane_bound(g) <= depth, "half-plane bound above the exact distance"
+                _check(length <= 6 * hex_param(g), "ball witness exceeded the 6n bound")
+            _check(length >= depth, "witness shorter than the exact distance")
+            _check(halfplane_bound(g) <= depth, "half-plane bound above the exact distance")
             tour = box_tour_word(g)
-            assert evaluate(tour) == g, "box tour failed to replay"
-            assert a_length(tour) == depth, "box tour is not a geodesic"
+            _check(evaluate(tour) == g, "box tour failed to replay")
+            _check(a_length(tour) == depth, "box tour is not a geodesic")
         return (
             f"{samples} random elements with hex <= {max_hex}"
             f" and all {len(depths)} elements of the radius-{ball_radius} ball"
@@ -334,10 +355,10 @@ def check_witness(
 
 def check_tour(max_n: int = 50) -> CheckResult:
     def body() -> str:
-        assert tour_lower_bound(0) == 0
+        _check(tour_lower_bound(0) == 0, "tour bound is not 0 at n=0")
         for n in range(1, max_n + 1):
             got = tour_lower_bound(n)
-            assert got == 6 * n, f"tour bound {got} != {6 * n} at n={n}"
+            _check(got == 6 * n, f"tour bound {got} != {6 * n} at n={n}")
         return f"tour_lower_bound(n) == 6n for n <= {max_n}"
 
     return _run("metric-tour", body)
@@ -347,12 +368,13 @@ def check_gn_distance(max_n: int = 50) -> CheckResult:
     def body() -> str:
         for n in range(1, max_n + 1):
             element, word = make_gn(n)
-            assert a_length(word) == 6 * n, f"defining word length is not 6n at n={n}"
-            assert evaluate(word) == element, f"defining word failed to replay at n={n}"
+            _check(a_length(word) == 6 * n, f"defining word length is not 6n at n={n}")
+            _check(evaluate(word) == element, f"defining word failed to replay at n={n}")
         for n in (1, 2):
             anchor, _ = make_gn(n)
-            assert search_distance(anchor, 6 * n) == 6 * n, (
-                f"exhaustive search did not give {6 * n} at n={n}"
+            _check(
+                search_distance(anchor, 6 * n) == 6 * n,
+                f"exhaustive search did not give {6 * n} at n={n}",
             )
         return f"length-6n words replay for n <= {max_n}; n=1, 2 distances are exactly 6n"
 
@@ -364,15 +386,19 @@ def check_depth(max_n: int = 4) -> CheckResult:
         sizes = []
         for n in range(1, max_n + 1):
             certificate = certify_depth(n, n)
-            assert certificate.verdict == "certified", f"certification failed at n={n}"
-            assert certificate.max_witness_length <= 6 * n
+            _check(certificate.verdict == "certified", f"certification failed at n={n}")
+            _check(
+                certificate.max_witness_length <= 6 * n,
+                f"certificate witness exceeded 6n at n={n}",
+            )
             sizes.append(certificate.neighborhood_size)
         # independent cross-check at n=1: every actual neighbour is inside
         # the radius-6 ball by exhaustive bidirectional search
         anchor, _ = make_gn(1)
         for b in ball_with_depths(1):
-            assert search_distance(multiply(anchor, b), 6) <= 6, (
-                "a neighbour of the n=1 anchor left the radius-6 ball"
+            _check(
+                search_distance(multiply(anchor, b), 6) <= 6,
+                "a neighbour of the n=1 anchor left the radius-6 ball",
             )
         return f"certified depth > n for n in 1..{max_n}; ball sizes {sizes}"
 
@@ -382,17 +408,17 @@ def check_depth(max_n: int = 4) -> CheckResult:
 def check_spheres(radius: int = 5) -> CheckResult:
     def body() -> str:
         moves = move_elements()
-        assert len(moves) == 17, f"move dedup found {len(moves)} distinct moves"
+        _check(len(moves) == 17, f"move dedup found {len(moves)} distinct moves")
         depths = ball_with_depths(radius)
         spheres: list[set] = [set() for _ in range(radius + 1)]
         for element, depth in depths.items():
             spheres[depth].add(element)
         total = sum(len(s) for s in spheres)
-        assert total == len(depths), "an element landed in two spheres"
+        _check(total == len(depths), "an element landed in two spheres")
         sizes = [len(s) for s in spheres]
-        assert sizes[0] == 1 and sizes[1] == 17, f"first spheres are {sizes[:2]}"
+        _check(sizes[0] == 1 and sizes[1] == 17, f"first spheres are {sizes[:2]}")
         for r in range(1, radius + 1):
-            assert sizes[r] > sizes[r - 1], f"growth stalled at radius {r}"
+            _check(sizes[r] > sizes[r - 1], f"growth stalled at radius {r}")
         return f"sizes {sizes}; disjoint spheres; |S(1)| matches the 17-move oracle"
 
     return _run("metric-spheres", body)

@@ -9,7 +9,9 @@ whose point is that a button press at a vertex the lamplighter is leaving
 or arriving at costs nothing extra.  Words are read right to left: the
 rightmost letter acts first.  A compound base acts through its written
 characters, again rightmost first, so the single letter ``at`` means
-"step in t, then press".
+"step in t, then press".  :func:`expand` states that rule; ``ACTIONS``
+compiles it once per letter, and :func:`act_letters`, the one word
+evaluator, folds it.
 
 Inverses are free: moves are drawn from A together with the inverses of
 its letters.  Since ``a`` is an involution this gives 17 distinct moves,
@@ -27,8 +29,8 @@ from .core import (
     COORD_LIMIT,
     Element,
     Pos,
-    act_letters,
     identity,
+    press_effect,
 )
 
 PRESENTATION = "presentation"
@@ -66,6 +68,11 @@ class Word:
 EMPTY_METRIC = Word((), METRIC)
 
 
+def _power(base: str, exponent: int) -> list[Letter]:
+    sign = 1 if exponent >= 0 else -1
+    return [Letter(base, sign)] * abs(exponent)
+
+
 def parse(text: str, alphabet: str = METRIC) -> Word:
     """Parse word text.
 
@@ -97,8 +104,7 @@ def parse(text: str, alphabet: str = METRIC) -> Word:
                 raise WordError(f"exponent in token {token!r} exceeds +/-2^31")
         else:
             exponent = 1
-        sign = 1 if exponent >= 0 else -1
-        letters.extend(Letter(base, sign) for _ in range(abs(exponent)))
+        letters += _power(base, exponent)
     return Word(tuple(letters), alphabet)
 
 
@@ -152,9 +158,43 @@ def expand(word: Word) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
+def _action(letter: Letter) -> tuple[bool, Pos, bool]:
+    # The expansion read right to left is presses around at most one step.
+    chrono = "".join(ch for ch, _ in reversed(expand(Word((letter,), METRIC))))
+    step = {"": (0, 0), "s": (letter.sign, 0), "t": (0, letter.sign)}[chrono.strip("a")]
+    return chrono.startswith("a"), step, step != (0, 0) and chrono.endswith("a")
+
+
+# (press before, step, press after) of each letter of either alphabet,
+# compiled once from its expansion: 9 bases times 2 signs.
+ACTIONS: dict[Letter, tuple[bool, Pos, bool]] = {
+    letter: _action(letter)
+    for letter in (Letter(base, sign) for base in METRIC_BASES for sign in (1, -1))
+}
+
+
+def act_letters(letters, state: Element) -> Element:
+    """Act on ``state`` by written letters of either alphabet, rightmost first.
+
+    The letters are folded on one mutable lamp set and position; ``state``
+    itself is left as it was.
+    """
+    lamps = set(state.lamps)
+    p, q = state.pos
+    for letter in reversed(letters):
+        before, (dp, dq), after = ACTIONS[letter]
+        if before:
+            lamps ^= press_effect((p, q))
+        p += dp
+        q += dq
+        if after:
+            lamps ^= press_effect((p, q))
+    return Element(frozenset(lamps), (p, q))
+
+
 def evaluate(word: Word) -> Element:
-    """Element represented by ``word``: fold letters rightmost-first."""
-    return act_letters(expand(word), identity())
+    """Element represented by ``word``: its letters acting on the identity."""
+    return act_letters(word.letters, identity())
 
 
 def a_length(word: Word) -> int:
@@ -171,11 +211,6 @@ def _sorted_lamps(lamps) -> list[Pos]:
         return (0, p) if q == 0 and p < 0 else (1, q)
 
     return sorted(lamps, key=key)
-
-
-def _power(base: str, exponent: int) -> list[Letter]:
-    sign = 1 if exponent >= 0 else -1
-    return [Letter(base, sign)] * abs(exponent)
 
 
 def canonical_word(g: Element) -> Word:
@@ -244,17 +279,13 @@ def move_elements() -> tuple[tuple[Letter, Element], ...]:
     ``a`` is its own inverse, so there are 17 moves rather than 18.
     """
     seen: dict[Element, Letter] = {}
-    for base in METRIC_BASES:
-        for sign in (1, -1):
-            letter = Letter(base, sign)
-            el = evaluate(Word((letter,), METRIC))
-            if el not in seen:
-                seen[el] = letter
+    for letter in ACTIONS:
+        seen.setdefault(act_letters((letter,), identity()), letter)
     return tuple((letter, el) for el, letter in seen.items())
 
 
 # Defining relations, as written presentation-letter sequences.  Each acts
-# as the identity on every state; `act_letters` with any state replays them.
+# as the identity on every state; `act_letters` on any state replays them.
 RELATORS: dict[str, tuple[Letter, ...]] = {
     "button-involution": parse("a a", PRESENTATION).letters,
     "presses-commute": parse("a^-1 t^-1 a^-1 t a t^-1 a t", PRESENTATION).letters,

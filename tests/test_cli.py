@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from lampgrid import metric
+import lampgrid
+from lampgrid import metric, selftest
 from lampgrid.cli import main
 
 
@@ -155,6 +160,45 @@ class TestSelftest:
         code, _, err = run(capsys, "selftest", "--suite", "nope")
         assert code == 1
         assert "unknown selftest suite" in err
+
+    def test_raising_suite_fails_alone(self, capsys, monkeypatch):
+        def broken(n):
+            raise ValueError("broken bound")
+
+        monkeypatch.setattr(selftest, "tour_lower_bound", broken)
+        suites = ("core-pascal", "metric-tour", "core-hexagon")
+        code, out, _ = run(capsys, "selftest", *(f"--suite={name}" for name in suites))
+        lines = out.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            ["PASS", "core-pascal"],
+            ["FAIL", "metric-tour"],
+            ["PASS", "core-hexagon"],
+        ]
+        assert lines[1].endswith("ValueError: broken bound")
+        assert code == 1
+
+    def test_checks_hold_under_optimize(self):
+        # halfplane_bound one too high must fail the suite even with the
+        # interpreter's asserts stripped.
+        script = (
+            "import sys\n"
+            "from lampgrid import selftest\n"
+            "from lampgrid.cli import main\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit('not running under -O')\n"
+            "bound = selftest.halfplane_bound\n"
+            "selftest.halfplane_bound = lambda g: bound(g) + 1\n"
+            "sys.exit(main(['selftest', '--suite', 'metric-witness']))\n"
+        )
+        src = str(Path(lampgrid.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.stdout.startswith("FAIL  metric-witness"), proc.stdout + proc.stderr
+        assert proc.returncode == 1
 
 
 class TestEnvironmentDefaults:

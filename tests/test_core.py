@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from lampgrid import (
     Element,
-    apply_letter,
+    Letter,
     element_from_json,
     element_to_json,
     evaluate,
@@ -17,8 +17,7 @@ from lampgrid import (
     parse,
     press_effect,
 )
-from lampgrid.core import act_letters
-from lampgrid.words import RELATORS, SPLIT_LEFT, SPLIT_RIGHT
+from lampgrid.words import RELATORS, SPLIT_LEFT, SPLIT_RIGHT, act_letters
 
 from conftest import elements
 
@@ -134,24 +133,37 @@ class TestPressEffect:
         assert press_effect.cache_info().maxsize is not None
 
 
+def act_one(base, sign, state):
+    return act_letters((Letter(base, sign),), state)
+
+
 class TestApplyLetter:
+    """One presentation letter acting through `act_letters`."""
+
     def test_translation(self):
-        assert apply_letter("t", 1, identity()) == Element(frozenset(), (0, 1))
+        assert act_one("t", 1, identity()) == Element(frozenset(), (0, 1))
 
     def test_press_at_origin(self):
-        assert apply_letter("a", 1, identity()) == Element(
+        assert act_one("a", 1, identity()) == Element(
             frozenset({(0, 0)}), (0, 0)
         )
 
     def test_press_above_axis(self):
         state = Element(frozenset(), (2, 0))
-        assert apply_letter("a", 1, state) == Element(
+        assert act_one("a", 1, state) == Element(
             frozenset({(0, 0), (0, 2)}), (2, 0)
         )
 
     def test_inverse_press_equals_press(self):
         state = Element(frozenset(), (3, -2))
-        assert apply_letter("a", -1, state) == apply_letter("a", 1, state)
+        assert act_one("a", -1, state) == act_one("a", 1, state)
+
+    def test_input_state_is_left_unchanged(self):
+        lamps = frozenset({(0, 0), (0, 2), (-1, 0)})
+        state = Element(lamps, (2, 0))
+        acted = act_letters(parse("a s^-1 a t a", "presentation").letters, state)
+        assert acted != state
+        assert state.lamps == lamps and state.pos == (2, 0)
 
 
 class TestGroupOps:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 
@@ -16,12 +18,13 @@ from lampgrid import (
     identity,
     inverse,
     inverse_word,
+    metric,
     move_elements,
     multiply,
     parse,
     random_element,
 )
-from lampgrid.words import expand
+from lampgrid.words import ACTIONS, expand
 
 from conftest import elements, metric_words
 
@@ -67,6 +70,12 @@ class TestParse:
     def test_oversized_exponent(self):
         with pytest.raises(WordError, match="2\\^31"):
             parse("s^99999999999", METRIC)
+
+    def test_long_power_evaluates_quickly(self):
+        start = time.perf_counter()
+        g = evaluate(parse("s^1000000 a", METRIC))
+        assert g.pos == (1000000, 0)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestFormat:
@@ -169,3 +178,30 @@ class TestMoves:
     def test_moves_step_at_most_one(self):
         for _, el in move_elements():
             assert abs(el.pos[0]) + abs(el.pos[1]) <= 1
+
+
+# The move table written out by hand, the oracle of the one compiled from
+# ACTIONS.  Reading right to left, "at" steps in t and then presses, "ta"
+# presses and then steps, and inverses swap the roles.  Keys are
+# (step, press before, press after).
+HAND_MOVE_LETTERS = {}
+for _step, _plain, _pre, _post, _both in (
+    ((0, 1), ("t", 1), ("ta", 1), ("at", 1), ("ata", 1)),
+    ((0, -1), ("t", -1), ("at", -1), ("ta", -1), ("ata", -1)),
+    ((1, 0), ("s", 1), ("sa", 1), ("as", 1), ("asa", 1)),
+    ((-1, 0), ("s", -1), ("as", -1), ("sa", -1), ("asa", -1)),
+):
+    HAND_MOVE_LETTERS[(_step, False, False)] = Letter(*_plain)
+    HAND_MOVE_LETTERS[(_step, True, False)] = Letter(*_pre)
+    HAND_MOVE_LETTERS[(_step, False, True)] = Letter(*_post)
+    HAND_MOVE_LETTERS[(_step, True, True)] = Letter(*_both)
+
+
+class TestLetterTable:
+    def test_move_letters_match_hand_table(self):
+        assert len(HAND_MOVE_LETTERS) == 16
+        assert metric._MOVE_LETTERS == HAND_MOVE_LETTERS
+
+    def test_every_letter_has_an_action(self):
+        assert len(ACTIONS) == 18
+        assert len(move_elements()) == 17
