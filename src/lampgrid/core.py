@@ -65,6 +65,35 @@ def _odd_binomials(n: int, count: int):
             return
 
 
+def _count_odd_binomials(n: int, count: int) -> int:
+    """How many r :func:`_odd_binomials` yields, in O(bit length of ``count``)."""
+    # An r below count agrees with it above some bit i where count has a 1
+    # and r a 0; below i, r is any submask of n.  The bits of count above i
+    # must be in n too, so the scan stops at the first one that is not.
+    total = 0
+    for i in reversed(range(max(count, 0).bit_length())):
+        if count >> i & 1:
+            total += 1 << (n & ((1 << i) - 1)).bit_count()
+            if not n >> i & 1:
+                break
+    return total
+
+
+def press_size(pos: Pos) -> int:
+    """Number of lamps :func:`press_effect` toggles at ``pos``, without building them."""
+    p, q = pos
+    if p >= 0:
+        return 1 << p.bit_count()
+    t_axis = _count_odd_binomials(p, -q if q < 0 else q + p + 1)
+    return _count_odd_binomials(q, -p) + t_axis
+
+
+# A press that toggles more lamps than this is refused.  Inside the input
+# range one press can toggle some 2^31 lamps, for example at (2^31 - 1, 0),
+# and no set of that size fits in memory; 2^20 lamps take about 150 MB.
+PRESS_LAMP_LIMIT = 2**20
+
+
 # The only cache in the package.  Searches press at a few thousand distinct
 # positions (about 3,200 in the hexagon benchmark) but up to some 10^6 times,
 # and a cached call is about ten times cheaper than the closed form; the
@@ -87,8 +116,18 @@ def press_effect(pos: Pos) -> LampSet:
     the split relation ``a^s = a a^t``::
 
         effect(p+1, q) = effect(p, q)  xor  effect(p, q+1)
+
+    Raises ``ValueError`` when the effect has more than ``PRESS_LAMP_LIMIT``
+    lamps (:func:`press_size`), before building any of them.
     """
     p, q = pos
+    # An effect has at most |p| + |q| + 1 lamps, so most presses skip the count.
+    if abs(p) + abs(q) >= PRESS_LAMP_LIMIT:
+        size = press_size(pos)
+        if size > PRESS_LAMP_LIMIT:
+            raise ValueError(
+                f"a press at {pos} toggles {size} lamps, over the limit of {PRESS_LAMP_LIMIT}"
+            )
     if p >= 0:
         return frozenset((0, q + r) for r in _odd_binomials(p, p + 1))
     lamps = [(p + i, 0) for i in _odd_binomials(q, -p)]

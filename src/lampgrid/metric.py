@@ -39,6 +39,7 @@ from .words import (
     canonical_word,
     evaluate,
     format_word,
+    merge_runs,
     move_elements,
 )
 
@@ -200,41 +201,82 @@ _MOVE_LETTERS: dict[tuple[Pos, bool, bool], Letter] = {
 }
 
 
+# The one-letter word of the origin press.
+_PRESS = Word(((Letter("a", 1), 1),), METRIC)
+
+
 def _walk_to(path: list[Pos], target: Pos) -> None:
-    # Unit steps, adjusting p before q.
+    # Legs parallel to the axes, adjusting p before q; only corners are listed.
     p, q = path[-1]
-    tp, tq = target
-    step = 1 if tp > p else -1
-    while p != tp:
-        p += step
-        path.append((p, q))
-    step = 1 if tq > q else -1
-    while q != tq:
-        q += step
-        path.append((p, q))
+    if target[0] != p:
+        path.append((target[0], q))
+    if target[1] != q:
+        path.append(target)
+
+
+def _vertices(path: list[Pos]) -> list[Pos]:
+    """Every vertex of the walk through the corners ``path``, in walk order."""
+    p, q = path[0]
+    vertices = [(p, q)]
+    for tp, tq in path[1:]:
+        step = 1 if tp > p else -1
+        while p != tp:
+            p += step
+            vertices.append((p, q))
+        step = 1 if tq > q else -1
+        while q != tq:
+            q += step
+            vertices.append((p, q))
+    return vertices
 
 
 def _word_from_path(path: list[Pos], presses: set[Pos]) -> Word:
-    """Fuse presses into the moves of ``path`` at each press's first visit."""
-    # Built from the end, so each position keeps the index of its first visit.
-    first = dict(zip(reversed(path), range(len(path) - 1, -1, -1)))
-    pressed = [False] * len(path)
-    for pos in presses:
-        try:
-            pressed[first[pos]] = True
-        except KeyError:
-            raise RuntimeError(f"press position {pos} is not on the planned path") from None
-    moves = len(path) - 1
-    if moves == 0:
-        return Word((Letter("a", 1),), METRIC) if presses else EMPTY_METRIC
-    # Only the first move presses before stepping; every later vertex is
-    # pressed after the step onto it.
-    before = [pressed[0]] + [False] * (moves - 1)
-    chrono = [
-        _MOVE_LETTERS[(q[0] - p[0], q[1] - p[1]), pre, post]
-        for p, q, pre, post in zip(path, path[1:], before, pressed[1:])
-    ]
-    return Word(tuple(reversed(chrono)), METRIC)
+    """Fuse presses into the walk through the corners ``path``, leg by leg.
+
+    Each press goes to its first visit.  A press at the start is fused into
+    the first move, which presses before stepping; every other press into
+    the move onto its vertex, which presses after.  A leg emits runs of
+    plain moves between its pressed vertices.
+    """
+    pending = set(presses)
+    start_pressed = path[0] in pending
+    pending.discard(path[0])
+    chrono: list[tuple[Letter, int]] = []
+    for (p, q), (p1, q1) in zip(path, path[1:]):
+        if p1 != p:
+            step, length = ((1, 0), p1 - p) if p1 > p else ((-1, 0), p - p1)
+        else:
+            step, length = ((0, 1), q1 - q) if q1 > q else ((0, -1), q - q1)
+        plain = _MOVE_LETTERS[step, False, False]
+        done = 0
+        if pending:
+            # Pending presses on this leg, by their distance k along it.
+            dp, dq = step
+            stops = []
+            for pos in pending:
+                x, y = pos
+                if (y == q) if dp else (x == p):
+                    k = (x - p) * dp + (y - q) * dq
+                    if 0 < k <= length:
+                        stops.append((k, pos))
+            lit = _MOVE_LETTERS[step, False, True]
+            for k, pos in sorted(stops):
+                pending.discard(pos)
+                if k - done > 1:
+                    chrono.append((plain, k - done - 1))
+                chrono.append((lit, 1))
+                done = k
+        if length > done:
+            chrono.append((plain, length - done))
+    if pending:
+        raise RuntimeError(f"press position {min(pending)} is not on the planned path")
+    if not chrono:
+        return _PRESS if start_pressed else EMPTY_METRIC
+    if start_pressed:
+        letter, count = chrono[0]
+        _, step, after = ACTIONS[letter]
+        chrono[:1] = [(_MOVE_LETTERS[step, True, after], 1), (letter, count - 1)]
+    return Word(merge_runs(reversed(chrono)), METRIC)
 
 
 def witness_word(g: Element) -> Word:
@@ -265,7 +307,7 @@ def witness_word(g: Element) -> Word:
     n = hex_param(g)
     if n == 0:
         if g.lamps:
-            return Word((Letter("a", 1),), METRIC)
+            return _PRESS
         return EMPTY_METRIC
     p, q = g.pos
     s_targets = {lamp for lamp in g.lamps if lamp[1] == 0 and lamp[0] < 0}
@@ -324,17 +366,17 @@ def make_gn(n: int) -> tuple[Element, Word]:
     if n < 1:
         raise ValueError("make_gn requires n >= 1")
     element = Element(frozenset({(-n, 0), (0, n), (0, -n)}), (0, 0))
-    letters = (
-        [Letter("s", 1)] * (n - 1)
-        + [Letter("sa", 1)]
-        + [Letter("s", -1)] * n
-        + [Letter("t", 1)] * (n - 1)
-        + [Letter("ta", 1)]
-        + [Letter("t", -1)] * (2 * n)
-        + [Letter("at", 1)]
-        + [Letter("t", 1)] * (n - 1)
-    )
-    return element, Word(tuple(letters), METRIC)
+    runs = merge_runs([
+        (Letter("s", 1), n - 1),
+        (Letter("sa", 1), 1),
+        (Letter("s", -1), n),
+        (Letter("t", 1), n - 1),
+        (Letter("ta", 1), 1),
+        (Letter("t", -1), 2 * n),
+        (Letter("at", 1), 1),
+        (Letter("t", 1), n - 1),
+    ])
+    return element, Word(runs, METRIC)
 
 
 def halfplane_bound(g: Element) -> int:
@@ -362,9 +404,16 @@ def _box(g: Element) -> tuple[Pos, Pos]:
     the bracketed sum of the bound.  (P, Q) meets p + q >= top, the bottom
     side q <= -low and the left side p <= -far.
     """
-    t_axis = [q for p, q in g.lamps if p == 0] + [0]
-    top, low = max(t_axis), -min(t_axis)
-    far = -min([p for p, _ in g.lamps] + [0])
+    # One pass: a lamp off the t-axis lies on the negative s-axis.
+    top = low = far = 0
+    for p, q in g.lamps:
+        if p:
+            if -p > far:
+                far = -p
+        elif q > top:
+            top = q
+        elif -q > low:
+            low = -q
     ep, eq = g.pos
     p_hi = max(ep, 0)
     return (
@@ -508,11 +557,13 @@ def box_tour_word(g: Element, budget: _Budget | None = None) -> Word:
         corners = [(p_lo, 0), (p_hi, q_hi), (p_hi, q_lo)]
     else:
         corners = [(p_hi, q_hi), (p_lo, q_lo)]
-    budget.spend(_VERTEX_COST * (halfplane_bound(g) + 1))
+    # The walk has halfplane_bound(g) moves.
+    moves = 2 * (p_hi - p_lo + q_hi - q_lo) - abs(ep) - abs(eq)
+    budget.spend(_VERTEX_COST * (moves + 1))
     path: list[Pos] = [(0, 0)]
     for corner in corners + [g.pos]:
         _walk_to(path, corner)
-    vertices = list(dict.fromkeys(path))
+    vertices = list(dict.fromkeys(_vertices(path)))
     segment: dict[Pos, None] = {}
     for vertex in vertices:
         effect = press_effect(vertex)

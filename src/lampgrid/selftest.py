@@ -38,21 +38,24 @@ from .metric import (
     witness_word,
 )
 from .words import (
+    ACTIONS,
     METRIC,
     METRIC_BASES,
+    PRESENTATION,
     RELATORS,
     SPLIT_LEFT,
     SPLIT_RIGHT,
     Letter,
     Word,
     a_length,
-    act_letters,
+    act_runs,
     canonical_word,
     concat,
     evaluate,
     format_word,
     inverse_word,
     lampstand_points,
+    merge_runs,
     move_elements,
     parse,
     random_element,
@@ -98,11 +101,11 @@ def _random_states(count: int, seed, max_n: int = 12) -> list[Element]:
 def check_relators(states: int = 1000, seed="relators") -> CheckResult:
     def body() -> str:
         for state in _random_states(states, seed):
-            for name, letters in RELATORS.items():
-                acted = act_letters(letters, state)
+            for name, runs in RELATORS.items():
+                acted = act_runs(runs, state)
                 _check(acted == state, f"relator {name} moved a state")
-            left = act_letters(SPLIT_LEFT, state)
-            right = act_letters(SPLIT_RIGHT, state)
+            left = act_runs(SPLIT_LEFT, state)
+            right = act_runs(SPLIT_RIGHT, state)
             _check(left == right, "the two press-split spellings acted differently")
         return f"{states} states, {len(RELATORS)} relators, split identity"
 
@@ -190,11 +193,38 @@ def check_conjugates(samples: int = 150, seed="conjugates") -> CheckResult:
 
 
 def _random_metric_word(rng: random.Random, max_len: int) -> Word:
-    letters = tuple(
+    letters = [
         Letter(rng.choice(METRIC_BASES), rng.choice((1, -1)))
         for _ in range(rng.randint(0, max_len))
-    )
-    return Word(letters, METRIC)
+    ]
+    return Word.from_letters(letters, METRIC)
+
+
+def _random_long_word(rng: random.Random, max_runs: int) -> Word:
+    # Mostly short runs, with long exponents mixed in.
+    pairs = [
+        (
+            Letter(rng.choice(METRIC_BASES), rng.choice((1, -1))),
+            rng.choice((1, 1, 2, 3, rng.randint(4, 60))),
+        )
+        for _ in range(rng.randint(0, max_runs))
+    ]
+    return Word(merge_runs(pairs), METRIC)
+
+
+def _fold_letters(letters, state: Element) -> Element:
+    # Letter by letter from ACTIONS: the oracle of act_runs' whole-run steps.
+    lamps = set(state.lamps)
+    p, q = state.pos
+    for letter in reversed(letters):
+        before, (dp, dq), after = ACTIONS[letter]
+        if before:
+            lamps ^= press_effect((p, q))
+        p += dp
+        q += dq
+        if after:
+            lamps ^= press_effect((p, q))
+    return Element(frozenset(lamps), (p, q))
 
 
 def check_homomorphism(pairs: int = 500, max_len: int = 40, seed="hom") -> CheckResult:
@@ -211,7 +241,16 @@ def check_homomorphism(pairs: int = 500, max_len: int = 40, seed="hom") -> Check
                 evaluate(inverse_word(u)) == inverse(evaluate(u)),
                 "word inversion disagreed with inverse",
             )
-        return f"{pairs} word pairs of length <= {max_len}"
+            w = concat(u, _random_long_word(rng, 8))
+            state = random_element(rng.randint(1, 12), rng.random())
+            _check(
+                act_runs(w.runs, state) == _fold_letters(w.letters, state),
+                "the run fold disagreed with the letter fold",
+            )
+        return (
+            f"{pairs} word pairs of length <= {max_len}; run fold matches the"
+            " letter fold on words with runs up to 60"
+        )
 
     return _run("words-homomorphism", body)
 
@@ -224,19 +263,14 @@ def check_word_roundtrip(samples: int = 300, seed="roundtrip") -> CheckResult:
             _check(parse(format_word(w), METRIC) == w, "format/parse failed to round-trip")
             g = random_element(rng.randint(1, 10), rng.random())
             _check(evaluate(canonical_word(g)) == g, "canonical word failed to replay")
-        relator_words = [
-            " ".join(f"{b}^{s}" for b, s in letters) for letters in RELATORS.values()
-        ]
+        relator_words = [Word(runs, PRESENTATION) for runs in RELATORS.values()]
         for _ in range(samples // 3):
             w = _random_metric_word(rng, 15)
             base = evaluate(w)
             cut = rng.randint(0, len(w.letters))
-            insert = parse(rng.choice(relator_words), "presentation")
-            spliced = Word(
-                w.letters[:cut]
-                + tuple(Letter(b, s) for b, s in insert.letters)
-                + w.letters[cut:],
-                METRIC,
+            insert = rng.choice(relator_words)
+            spliced = Word.from_letters(
+                w.letters[:cut] + insert.letters + w.letters[cut:], METRIC
             )
             _check(evaluate(spliced) == base, "relator insertion changed the value")
         return f"{samples} round-trips, {samples // 3} relator insertions"
@@ -327,7 +361,7 @@ def check_witness(
         # parameter is 0 yet any spelling needs one letter
         lone = witness_word(_A_ELEMENT)
         _check(
-            lone == Word((Letter("a", 1),), METRIC),
+            lone == parse("a", METRIC),
             "origin press should be the letter a",
         )
         depths = ball_with_depths(ball_radius)

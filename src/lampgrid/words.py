@@ -10,8 +10,15 @@ or arriving at costs nothing extra.  Words are read right to left: the
 rightmost letter acts first.  A compound base acts through its written
 characters, again rightmost first, so the single letter ``at`` means
 "step in t, then press".  :func:`expand` states that rule; ``ACTIONS``
-compiles it once per letter, and :func:`act_letters`, the one word
-evaluator, folds it.
+compiles it once per letter.
+
+A :class:`Word` is stored as runs: (letter, count) pairs in written order,
+merged by :func:`merge_runs` so that no two neighbours share a letter and
+every count is at least 1.  Equal letter sequences therefore give equal
+words, and ``s^k`` costs O(1) however large k is.  :func:`act_runs`, the
+one word evaluator, folds the runs: a run that presses nothing moves by
+its count at once, ``a^k`` presses once when k is odd and not at all when
+it is even, and any other run acts letter by letter.
 
 Inverses are free: moves are drawn from A together with the inverses of
 its letters.  Since ``a`` is an involution this gives 17 distinct moves,
@@ -51,26 +58,64 @@ class Letter(NamedTuple):
     sign: int
 
 
+Run = tuple[Letter, int]
+
+_LETTERS = {
+    alphabet: frozenset(Letter(base, sign) for base in bases for sign in (1, -1))
+    for alphabet, bases in ((PRESENTATION, PRESENTATION_BASES), (METRIC, METRIC_BASES))
+}
+
+
+def merge_runs(pairs) -> tuple[Run, ...]:
+    """Normalised runs of ``(letter, count)`` pairs given in written order.
+
+    Zero counts are dropped and neighbours with the same letter merged.
+    """
+    runs: list[Run] = []
+    for letter, count in pairs:
+        if not count:
+            continue
+        if runs and runs[-1][0] == letter:
+            runs[-1] = (letter, runs[-1][1] + count)
+        else:
+            runs.append((letter, count))
+    return tuple(runs)
+
+
 @dataclass(frozen=True)
 class Word:
-    letters: tuple[Letter, ...]
+    """A word as normalised runs (see :func:`merge_runs`) in written order."""
+
+    runs: tuple[Run, ...]
     alphabet: str
 
     def __post_init__(self):
-        bases = PRESENTATION_BASES if self.alphabet == PRESENTATION else METRIC_BASES
-        if self.alphabet not in (PRESENTATION, METRIC):
+        if self.alphabet not in _LETTERS:
             raise ValueError(f"unknown alphabet tag {self.alphabet!r}")
-        for letter in self.letters:
-            if letter.base not in bases or letter.sign not in (1, -1):
-                raise ValueError(f"letter {letter} not valid for {self.alphabet} words")
+        letters = _LETTERS[self.alphabet]
+        previous = None
+        for letter, count in self.runs:
+            if letter not in letters:
+                raise ValueError(f"letter {letter!r} not valid for {self.alphabet} words")
+            if type(count) is not int or count < 1 or letter == previous:
+                raise ValueError("runs must have counts >= 1 and no equal neighbours")
+            previous = letter
+
+    @classmethod
+    def from_letters(cls, letters, alphabet: str) -> Word:
+        return cls(merge_runs((letter, 1) for letter in letters), alphabet)
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The letters one by one, in written order: O(letters), not O(runs)."""
+        return tuple(letter for letter, count in self.runs for _ in range(count))
 
 
 EMPTY_METRIC = Word((), METRIC)
 
 
-def _power(base: str, exponent: int) -> list[Letter]:
-    sign = 1 if exponent >= 0 else -1
-    return [Letter(base, sign)] * abs(exponent)
+def _power(base: str, exponent: int) -> Run:
+    return Letter(base, 1 if exponent >= 0 else -1), abs(exponent)
 
 
 def parse(text: str, alphabet: str = METRIC) -> Word:
@@ -86,11 +131,10 @@ def parse(text: str, alphabet: str = METRIC) -> Word:
     bases = PRESENTATION_BASES if alphabet == PRESENTATION else METRIC_BASES
     text = text.strip()
     if alphabet == PRESENTATION and text and _COMPACT_RE.fullmatch(text):
-        letters = tuple(
-            Letter(ch.lower(), 1 if ch.islower() else -1) for ch in text
+        return Word.from_letters(
+            (Letter(ch.lower(), 1 if ch.islower() else -1) for ch in text), alphabet
         )
-        return Word(letters, alphabet)
-    letters: list[Letter] = []
+    pairs: list[Run] = []
     for token in text.split():
         base, caret, exponent_text = token.partition("^")
         if base not in bases:
@@ -104,41 +148,27 @@ def parse(text: str, alphabet: str = METRIC) -> Word:
                 raise WordError(f"exponent in token {token!r} exceeds +/-2^31")
         else:
             exponent = 1
-        letters += _power(base, exponent)
-    return Word(tuple(letters), alphabet)
+        pairs.append(_power(base, exponent))
+    return Word(merge_runs(pairs), alphabet)
 
 
 def format_word(word: Word) -> str:
-    """Token text with run-length ``^k`` compression; inverse of :func:`parse`."""
-    tokens: list[str] = []
-    run: Letter | None = None
-    count = 0
-
-    def flush():
-        if run is None:
-            return
-        exponent = count * run.sign
-        tokens.append(run.base if exponent == 1 else f"{run.base}^{exponent}")
-
-    for letter in word.letters:
-        if letter == run:
-            count += 1
-        else:
-            flush()
-            run, count = letter, 1
-    flush()
-    return " ".join(tokens)
+    """Token text with one ``^k`` token per run; inverse of :func:`parse`."""
+    return " ".join(
+        base if count == 1 and sign == 1 else f"{base}^{count * sign}"
+        for (base, sign), count in word.runs
+    )
 
 
 def concat(u: Word, v: Word) -> Word:
     if u.alphabet != v.alphabet:
         raise ValueError("cannot concatenate words over different alphabets")
-    return Word(u.letters + v.letters, u.alphabet)
+    return Word(merge_runs(u.runs + v.runs), u.alphabet)
 
 
 def inverse_word(word: Word) -> Word:
     return Word(
-        tuple(Letter(l.base, -l.sign) for l in reversed(word.letters)),
+        merge_runs((Letter(base, -sign), count) for (base, sign), count in reversed(word.runs)),
         word.alphabet,
     )
 
@@ -150,17 +180,15 @@ def expand(word: Word) -> tuple[tuple[str, int], ...]:
     inverse letter contributes them reversed with flipped signs.
     """
     out: list[tuple[str, int]] = []
-    for base, sign in word.letters:
-        if sign == 1:
-            out.extend((ch, 1) for ch in base)
-        else:
-            out.extend((ch, -1) for ch in reversed(base))
+    for (base, sign), count in word.runs:
+        chars = base if sign == 1 else base[::-1]
+        out.extend([(ch, sign) for ch in chars] * count)
     return tuple(out)
 
 
 def _action(letter: Letter) -> tuple[bool, Pos, bool]:
     # The expansion read right to left is presses around at most one step.
-    chrono = "".join(ch for ch, _ in reversed(expand(Word((letter,), METRIC))))
+    chrono = "".join(ch for ch, _ in reversed(expand(Word(((letter, 1),), METRIC))))
     step = {"": (0, 0), "s": (letter.sign, 0), "t": (0, letter.sign)}[chrono.strip("a")]
     return chrono.startswith("a"), step, step != (0, 0) and chrono.endswith("a")
 
@@ -173,35 +201,47 @@ ACTIONS: dict[Letter, tuple[bool, Pos, bool]] = {
 }
 
 
-def act_letters(letters, state: Element) -> Element:
-    """Act on ``state`` by written letters of either alphabet, rightmost first.
+def act_runs(runs, state: Element) -> Element:
+    """Act on ``state`` by written runs of either alphabet, rightmost first.
 
-    The letters are folded on one mutable lamp set and position; ``state``
-    itself is left as it was.
+    A run that presses nothing moves by its count times its step at once.
+    A run of ``a`` (or ``a^-1``) presses once if its count is odd, since a
+    press is an involution, and not at all if it is even.  Any other run
+    acts letter by letter.  The runs are folded on one mutable lamp set and
+    position; ``state`` itself is left as it was.
     """
     lamps = set(state.lamps)
     p, q = state.pos
-    for letter in reversed(letters):
+    for letter, count in reversed(runs):
         before, (dp, dq), after = ACTIONS[letter]
-        if before:
-            lamps ^= press_effect((p, q))
-        p += dp
-        q += dq
-        if after:
-            lamps ^= press_effect((p, q))
+        if not (before or after):
+            p += count * dp
+            q += count * dq
+        elif not (dp or dq):
+            if count & 1:
+                lamps ^= press_effect((p, q))
+        else:
+            while count:
+                if before:
+                    lamps ^= press_effect((p, q))
+                p += dp
+                q += dq
+                if after:
+                    lamps ^= press_effect((p, q))
+                count -= 1
     return Element(frozenset(lamps), (p, q))
 
 
 def evaluate(word: Word) -> Element:
-    """Element represented by ``word``: its letters acting on the identity."""
-    return act_letters(word.letters, identity())
+    """Element represented by ``word``: its runs acting on the identity."""
+    return act_runs(word.runs, identity())
 
 
 def a_length(word: Word) -> int:
     """Number of metric letters; each letter of either sign costs one."""
     if word.alphabet != METRIC:
         raise ValueError("a_length is defined for metric words")
-    return len(word.letters)
+    return sum(count for _, count in word.runs)
 
 
 def _sorted_lamps(lamps) -> list[Pos]:
@@ -223,14 +263,11 @@ def canonical_word(g: Element) -> Word:
     translation last.
     """
     p, q = g.pos
-    letters: list[Letter] = _power("s", p) + _power("t", q)
-    for lamp in reversed(_sorted_lamps(g.lamps)):
-        lp, lq = lamp
-        if lq == 0 and lp < 0:
-            letters += _power("s", -lp) + [Letter("a", 1)] + _power("s", lp)
-        else:
-            letters += _power("t", -lq) + [Letter("a", 1)] + _power("t", lq)
-    return Word(tuple(letters), PRESENTATION)
+    pairs = [_power("s", p), _power("t", q)]
+    for lp, lq in reversed(_sorted_lamps(g.lamps)):
+        axis, k = ("s", lp) if lq == 0 and lp < 0 else ("t", lq)
+        pairs += [_power(axis, -k), (Letter("a", 1), 1), _power(axis, k)]
+    return Word(merge_runs(pairs), PRESENTATION)
 
 
 def lampstand_points(n: int) -> list[Pos]:
@@ -280,20 +317,20 @@ def move_elements() -> tuple[tuple[Letter, Element], ...]:
     """
     seen: dict[Element, Letter] = {}
     for letter in ACTIONS:
-        seen.setdefault(act_letters((letter,), identity()), letter)
+        seen.setdefault(act_runs(((letter, 1),), identity()), letter)
     return tuple((letter, el) for el, letter in seen.items())
 
 
-# Defining relations, as written presentation-letter sequences.  Each acts
-# as the identity on every state; `act_letters` on any state replays them.
-RELATORS: dict[str, tuple[Letter, ...]] = {
-    "button-involution": parse("a a", PRESENTATION).letters,
-    "presses-commute": parse("a^-1 t^-1 a^-1 t a t^-1 a t", PRESENTATION).letters,
-    "translations-commute": parse("s^-1 t^-1 s t", PRESENTATION).letters,
-    "press-split": parse("s^-1 a s t^-1 a^-1 t a^-1", PRESENTATION).letters,
+# Defining relations, as written presentation runs.  Each acts as the
+# identity on every state; `act_runs` on any state replays them.
+RELATORS: dict[str, tuple[Run, ...]] = {
+    "button-involution": parse("a a", PRESENTATION).runs,
+    "presses-commute": parse("a^-1 t^-1 a^-1 t a t^-1 a t", PRESENTATION).runs,
+    "translations-commute": parse("s^-1 t^-1 s t", PRESENTATION).runs,
+    "press-split": parse("s^-1 a s t^-1 a^-1 t a^-1", PRESENTATION).runs,
 }
 
 # Two spellings of the same element: pressing one s-step over equals
 # pressing here and one t-step over.
-SPLIT_LEFT = parse("s^-1 a s", PRESENTATION).letters
-SPLIT_RIGHT = parse("a t^-1 a t", PRESENTATION).letters
+SPLIT_LEFT = parse("s^-1 a s", PRESENTATION).runs
+SPLIT_RIGHT = parse("a t^-1 a t", PRESENTATION).runs

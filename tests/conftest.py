@@ -33,4 +33,4 @@ def metric_words(draw, max_len=20):
             max_size=max_len,
         )
     )
-    return Word(tuple(Letter(b, s) for b, s in letters), METRIC)
+    return Word.from_letters((Letter(b, s) for b, s in letters), METRIC)

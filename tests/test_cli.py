@@ -229,3 +229,22 @@ class TestEnvironmentDefaults:
         )
         assert code == 0
         assert out.strip() == "6"
+
+
+class TestOutputFingerprint:
+    def test_quick_run(self):
+        root = Path(__file__).resolve().parents[1]
+        src = str(Path(lampgrid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "output_fingerprint.py"), "--quick"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[:2] == ["# sphere sizes r <= 6", "[1, 17, 70, 240, 722, 2000, 5234]"]
+        headers = [i for i, line in enumerate(lines) if line.startswith("# ")]
+        ball = lines[headers[2] + 1:headers[3]]
+        assert len(ball) == 1 + 17 + 70 + 240
+        assert ball[0] == " |  |  | 0"
+        assert lines.count("exit 0") > lines.count("exit 1") > 0

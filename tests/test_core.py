@@ -17,7 +17,8 @@ from lampgrid import (
     parse,
     press_effect,
 )
-from lampgrid.words import RELATORS, SPLIT_LEFT, SPLIT_RIGHT, act_letters
+from lampgrid.core import PRESS_LAMP_LIMIT, _count_odd_binomials, _odd_binomials, press_size
+from lampgrid.words import RELATORS, SPLIT_LEFT, SPLIT_RIGHT, act_runs
 
 from conftest import elements
 
@@ -133,12 +134,42 @@ class TestPressEffect:
         assert press_effect.cache_info().maxsize is not None
 
 
+class TestPressSize:
+    @given(st.integers(-40, 40), st.integers(-40, 40))
+    def test_counts_the_effect(self, p, q):
+        assert press_size((p, q)) == len(press_effect((p, q)))
+
+    @given(st.integers(-(2**40), 2**40), st.integers(-300, 300))
+    def test_odd_binomial_count(self, n, count):
+        assert _count_odd_binomials(n, count) == len(list(_odd_binomials(n, count)))
+
+    @pytest.mark.parametrize("p, q", FAR_POINTS)
+    def test_far_points_are_small(self, p, q):
+        for pos in ((p + 1, q), (p, q), (p, q + 1)):
+            assert press_size(pos) == len(press_effect(pos))
+
+    @pytest.mark.parametrize(
+        "pos, size",
+        [((2**31 - 1, 0), 2**31), ((-5, 2**31 - 1), 2**30 + 4), ((2**20 - 1, 7), 2**20)],
+    )
+    def test_counts_without_building(self, pos, size):
+        assert press_size(pos) == size
+
+    def test_limit(self):
+        # 2^20 lamps is the limit itself, one more bit is over it
+        assert press_size((2**20 - 1, 0)) == PRESS_LAMP_LIMIT
+        with pytest.raises(ValueError, match=f"toggles {2**21} lamps"):
+            press_effect((2**21 - 1, 0))
+        with pytest.raises(ValueError, match="over the limit"):
+            press_effect((-5, 2**31 - 1))
+
+
 def act_one(base, sign, state):
-    return act_letters((Letter(base, sign),), state)
+    return act_runs(((Letter(base, sign), 1),), state)
 
 
 class TestApplyLetter:
-    """One presentation letter acting through `act_letters`."""
+    """One presentation letter acting through `act_runs`."""
 
     def test_translation(self):
         assert act_one("t", 1, identity()) == Element(frozenset(), (0, 1))
@@ -161,7 +192,7 @@ class TestApplyLetter:
     def test_input_state_is_left_unchanged(self):
         lamps = frozenset({(0, 0), (0, 2), (-1, 0)})
         state = Element(lamps, (2, 0))
-        acted = act_letters(parse("a s^-1 a t a", "presentation").letters, state)
+        acted = act_runs(parse("a s^-1 a t a", "presentation").runs, state)
         assert acted != state
         assert state.lamps == lamps and state.pos == (2, 0)
 
@@ -201,12 +232,12 @@ class TestGroupOps:
 class TestRelators:
     @given(elements())
     def test_relators_fix_every_state(self, state):
-        for letters in RELATORS.values():
-            assert act_letters(letters, state) == state
+        for runs in RELATORS.values():
+            assert act_runs(runs, state) == state
 
     @given(elements())
     def test_split_spellings_agree(self, state):
-        assert act_letters(SPLIT_LEFT, state) == act_letters(SPLIT_RIGHT, state)
+        assert act_runs(SPLIT_LEFT, state) == act_runs(SPLIT_RIGHT, state)
 
 
 class TestSerialization:

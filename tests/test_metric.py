@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 
 from lampgrid import (
     Element,
+    Letter,
     METRIC,
     PRESENTATION,
     RadiusExceeded,
@@ -22,6 +23,7 @@ from lampgrid import (
     certify_depth,
     evaluate,
     exact_distance,
+    format_word,
     halfplane_bound,
     hex_param,
     identity,
@@ -404,6 +406,68 @@ class TestBoxTour:
             box_tour_word(far, metric._Budget(1, "box tour"))
 
 
+def fuse_by_vertex(path, presses):
+    """The fuser vertex by vertex, the oracle of the leg-based one: list
+    every vertex, press each at its first visit, one letter per move."""
+    vertices = [path[0]]
+    for target in path[1:]:
+        while vertices[-1] != target:
+            p, q = vertices[-1]
+            tp, tq = target
+            if p != tp:
+                vertices.append((p + (1 if tp > p else -1), q))
+            else:
+                vertices.append((p, q + (1 if tq > q else -1)))
+    first = {}
+    for i, vertex in enumerate(vertices):
+        first.setdefault(vertex, i)
+    pressed = [False] * len(vertices)
+    for pos in presses:
+        pressed[first[pos]] = True
+    if len(vertices) == 1:
+        return [Letter("a", 1)] if presses else [], vertices
+    letters = [
+        metric._MOVE_LETTERS[(b[0] - a[0], b[1] - a[1]), i == 0 and pressed[0], pressed[i + 1]]
+        for i, (a, b) in enumerate(zip(vertices, vertices[1:]))
+    ]
+    return letters[::-1], vertices
+
+
+@st.composite
+def walks(draw):
+    path = [(0, 0)]
+    for _ in range(draw(st.integers(0, 5))):
+        metric._walk_to(path, draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6))))
+    _, vertices = fuse_by_vertex(path, ())
+    presses = draw(st.sets(st.sampled_from(vertices)))
+    return path, presses
+
+
+class TestFuser:
+    @given(walks())
+    @settings(max_examples=300)
+    def test_matches_vertex_by_vertex(self, walk):
+        path, presses = walk
+        letters, vertices = fuse_by_vertex(path, presses)
+        word = metric._word_from_path(path, presses)
+        assert word.letters == tuple(letters)
+        assert metric._vertices(path) == vertices
+
+    def test_corners_only(self):
+        path = [(0, 0)]
+        metric._walk_to(path, (3, -2))
+        metric._walk_to(path, (3, -2))
+        assert path == [(0, 0), (3, 0), (3, -2)]
+
+    def test_runs_per_leg(self):
+        word = metric._word_from_path([(0, 0), (0, 5), (-4, 5)], {(0, 0), (0, 3), (-4, 5)})
+        assert format_word(word) == "sa^-1 s^-3 t^2 at t ta"
+
+    def test_press_off_the_walk(self):
+        with pytest.raises(RuntimeError, match="not on the planned path"):
+            metric._word_from_path([(0, 0), (2, 0)], {(1, 1)})
+
+
 class TestBudget:
     @pytest.mark.parametrize(
         "search",
@@ -474,6 +538,10 @@ class TestMakeGn:
     def test_requires_positive(self):
         with pytest.raises(ValueError):
             make_gn(0)
+
+    def test_word_runs(self):
+        assert format_word(make_gn(1)[1]) == "sa s^-1 ta t^-2 at"
+        assert format_word(make_gn(3)[1]) == "s^2 sa s^-3 t^2 ta t^-6 at t^2"
 
 
 class TestCertifyDepth:

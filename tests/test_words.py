@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
+
+import lampgrid
 
 from lampgrid import (
     Element,
@@ -24,7 +31,15 @@ from lampgrid import (
     parse,
     random_element,
 )
-from lampgrid.words import ACTIONS, expand
+from lampgrid.core import press_effect
+from lampgrid.words import (
+    ACTIONS,
+    METRIC_BASES,
+    PRESENTATION_BASES,
+    act_runs,
+    expand,
+    merge_runs,
+)
 
 from conftest import elements, metric_words
 
@@ -78,6 +93,137 @@ class TestParse:
         assert time.perf_counter() - start < 2.0
 
 
+    def test_neighbouring_powers_merge(self):
+        assert parse("s s^2", PRESENTATION) == parse("s^3", PRESENTATION)
+        assert parse("s s^2", PRESENTATION).runs == ((Letter("s", 1), 3),)
+
+    def test_opposite_powers_stay_apart(self):
+        word = parse("s s^-1", METRIC)
+        assert word.runs == ((Letter("s", 1), 1), (Letter("s", -1), 1))
+        assert a_length(word) == 2
+
+    def test_huge_power_is_one_run(self):
+        word = parse("t^-2147483647", METRIC)
+        assert word.runs == ((Letter("t", -1), 2**31 - 1),)
+        assert a_length(word) == 2**31 - 1
+
+
+class TestWordRuns:
+    def test_letters_view_expands_runs(self):
+        word = parse("a t^2 s^-1", PRESENTATION)
+        assert word.letters == (
+            Letter("a", 1), Letter("t", 1), Letter("t", 1), Letter("s", -1)
+        )
+        assert Word.from_letters(word.letters, PRESENTATION) == word
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            ((Letter("s", 1), 0),),
+            ((Letter("s", 1), -2),),
+            ((Letter("s", 1), 1), (Letter("s", 1), 2)),
+            ((Letter("sa", 1), 1),),
+            ((Letter("s", 2), 1),),
+        ],
+    )
+    def test_unnormalised_or_invalid_runs_rejected(self, runs):
+        with pytest.raises(ValueError):
+            Word(runs, PRESENTATION)
+
+    def test_merge_drops_zero_counts_and_joins_neighbours(self):
+        s, t = Letter("s", 1), Letter("t", 1)
+        assert merge_runs([(s, 1), (t, 0), (s, 2), (t, 1)]) == ((s, 3), (t, 1))
+
+    def test_concat_merges_at_the_seam(self):
+        u, v = parse("t s^2", METRIC), parse("s^3 a", METRIC)
+        assert concat(u, v).runs == parse("t s^5 a", METRIC).runs
+
+    def test_press_parity(self):
+        assert evaluate(parse("a^2000000", PRESENTATION)) == identity()
+        assert evaluate(parse("a^-3", PRESENTATION)) == evaluate(parse("a", PRESENTATION))
+
+
+def fold_letters(letters, state):
+    """Letter by letter from ACTIONS: the test's own oracle of `act_runs`."""
+    lamps = set(state.lamps)
+    p, q = state.pos
+    for letter in reversed(letters):
+        before, (dp, dq), after = ACTIONS[letter]
+        if before:
+            lamps ^= press_effect((p, q))
+        p += dp
+        q += dq
+        if after:
+            lamps ^= press_effect((p, q))
+    return Element(frozenset(lamps), (p, q))
+
+
+@st.composite
+def run_words(draw):
+    alphabet, bases = draw(
+        st.sampled_from(((PRESENTATION, PRESENTATION_BASES), (METRIC, METRIC_BASES)))
+    )
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(bases), st.integers(-60, 60)), max_size=10
+        )
+    )
+    return Word(
+        merge_runs((Letter(base, 1 if k > 0 else -1), abs(k)) for base, k in pairs),
+        alphabet,
+    )
+
+
+class TestRunFold:
+    @given(run_words(), elements(max_n=6))
+    def test_matches_letter_fold(self, word, state):
+        assert act_runs(word.runs, state) == fold_letters(word.letters, state)
+
+    @given(run_words())
+    def test_format_round_trip(self, word):
+        assert parse(format_word(word), word.alphabet) == word
+
+
+def cli(*argv):
+    src = str(Path(lampgrid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "lampgrid.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc, time.perf_counter() - start
+
+
+class TestExtremeExponents:
+    @pytest.mark.parametrize(
+        "word, pos, lamps",
+        [
+            ("s^2147483647 t^-2147483647", (2**31 - 1, -(2**31 - 1)), "(none)"),
+            ("a^2147483647", (0, 0), "(0,0)"),
+        ],
+    )
+    def test_eval_answers_at_once(self, word, pos, lamps):
+        proc, seconds = cli("eval", word)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"pos: ({pos[0]},{pos[1]})\nlamps: {lamps}\n"
+        assert seconds < 1.0
+
+    # (2^31 - 1, 0) lights every t-axis offset that is a submask of 2^31 - 1;
+    # (-5, 2^31 - 1) lights 5 s-axis lamps and the 2^30 - 1 t-axis offsets
+    # below 2^31 - 5 that lack bit 2.
+    @pytest.mark.parametrize(
+        "word, lamps",
+        [("a s^2147483647", 2**31), ("a t^2147483647 s^-5", 2**30 + 4)],
+    )
+    def test_huge_press_exits_1(self, word, lamps):
+        proc, seconds = cli("eval", word)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"toggles {lamps} lamps" in proc.stderr
+        assert seconds < 1.0
+
+
 class TestFormat:
     def test_run_length(self):
         word = parse("s s s a t^-2", PRESENTATION)
@@ -108,8 +254,8 @@ class TestEvaluate:
 
     @given(metric_words())
     def test_matches_presentation_expansion(self, word):
-        expanded = Word(
-            tuple(Letter(b, s) for b, s in expand(word)), PRESENTATION
+        expanded = Word.from_letters(
+            (Letter(b, s) for b, s in expand(word)), PRESENTATION
         )
         assert evaluate(word) == evaluate(expanded)
 
