@@ -7,10 +7,10 @@ Run it on two checkouts and compare the results:
     diff before.txt after.txt
 
 It prints sphere sizes, depth certificates as ``certify-depth n n --json``
-prints them, the witness word, box tour and exact distance of every
-element of a ball (each element named by its canonical word), and the
-stdout, stderr and exit code of the CLI's word commands on a fixed list of
-words in both alphabets, malformed ones included.  ``--quick`` uses a
+prints them, the witness word and exact distance of every element of a
+ball (each element named by its canonical word), and the stdout, stderr
+and exit code of the CLI's word commands on a fixed list of words in both
+alphabets, malformed ones included.  ``--quick`` uses a
 smaller radius and fewer anchors, so that the test suite can run it in a
 few seconds.
 """
@@ -21,7 +21,6 @@ import io
 
 from lampgrid import (
     ball_with_depths,
-    box_tour_word,
     canonical_word,
     exact_distance,
     format_word,
@@ -97,11 +96,11 @@ def main() -> int:
     for n in range(1, max_n + 1):
         print(cli(["certify-depth", str(n), str(n), "--json"]))
 
-    print(f"# B({ball_radius}): canonical word | witness_word | box tour | exact_distance")
+    print(f"# B({ball_radius}): canonical word | witness_word | exact_distance")
     for g in ball_with_depths(ball_radius):
         print(
             f"{format_word(canonical_word(g))} | {format_word(witness_word(g))}"
-            f" | {format_word(box_tour_word(g))} | {exact_distance(g, 6 * ball_radius + 1)}"
+            f" | {exact_distance(g, 6 * ball_radius + 1)}"
         )
 
     print("# CLI word commands")

@@ -3,8 +3,8 @@
 The package models the group generated by a button press ``a`` and two
 commuting translations ``s``, ``t``, where pressing off the lampstand
 splits into the toggles forced by ``a^s = a a^t``.  On top of the state
-model it provides witness words (of length at most 6n), a half-plane lower
-bound on word length, ball enumeration, and dead-end depth certificates.
+model it provides geodesic witness words, a half-plane formula for word
+length, ball enumeration, and dead-end depth certificates.
 """
 
 from .core import (
@@ -21,16 +21,12 @@ from .metric import (
     DepthCertificate,
     MemoryCapExceeded,
     RadiusExceeded,
-    SingularSystemError,
     TrapezoidSolution,
-    arc_press_solve,
     ball_with_depths,
-    box_tour_word,
     certify_depth,
     exact_distance,
     halfplane_bound,
     hex_param,
-    in_T,
     in_hex,
     make_gn,
     search_distance,
@@ -64,14 +60,11 @@ __all__ = [
     "METRIC",
     "PRESENTATION",
     "RadiusExceeded",
-    "SingularSystemError",
     "TrapezoidSolution",
     "Word",
     "WordError",
     "a_length",
-    "arc_press_solve",
     "ball_with_depths",
-    "box_tour_word",
     "canonical_word",
     "certify_depth",
     "concat",
@@ -83,7 +76,6 @@ __all__ = [
     "halfplane_bound",
     "hex_param",
     "identity",
-    "in_T",
     "in_hex",
     "inverse",
     "inverse_word",

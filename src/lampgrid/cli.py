@@ -5,8 +5,8 @@ certify-depth, selftest.  Every flag can also be supplied through an
 environment variable with the ``LAMPGRID_`` prefix (``LAMPGRID_SEED``,
 ``LAMPGRID_MAX_RADIUS``, ...); explicit flags win.
 
-Exit codes: 0 success, 1 domain error (bad word, singular system, search
-limits), 2 usage error.
+Exit codes: 0 success, 1 domain error (bad word, search or memory limits,
+render window), 2 usage error.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .words import METRIC, PRESENTATION, WordError, a_length, evaluate, format_w
 from . import metric, selftest
 
 ENV_PREFIX = "LAMPGRID_"
+
+# Largest half-width `render` draws: (2w + 1)^2 cells, about 10^6 at 500.
+MAX_RENDER_WINDOW = 500
 
 
 def _env(name: str, fallback):
@@ -146,11 +149,15 @@ def render_element(el: Element, window: int | None = None) -> list[str]:
     """ASCII window around the origin covering the element's hexagon.
 
     Orientation: t increases to the right, s increases upward.  The
-    rhombic slant is not drawn; positions land on a square grid.
+    rhombic slant is not drawn; positions land on a square grid.  Raises
+    ``ValueError`` on a negative window and on one, given or implied by
+    the element, whose half-width exceeds ``MAX_RENDER_WINDOW``.
     """
     if window is not None and window < 0:
         raise ValueError(f"window must be non-negative, got {window}")
     n = window if window is not None else max(hex_param(el), 2)
+    if n > MAX_RENDER_WINDOW:
+        raise ValueError(f"window {n} exceeds the render limit {MAX_RENDER_WINDOW}")
     lines = []
     outside = sum(1 for lamp in el.lamps if max(abs(lamp[0]), abs(lamp[1])) > n)
     for p in range(n, -n - 1, -1):
@@ -214,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="evaluate a word and draw the state")
     common(p, ("word",))
-    p.add_argument("--window", type=int, default=None, help="half-width of the drawn window")
+    p.add_argument("--window", type=int, default=None, help=f"half-width of the drawn window, at most {MAX_RENDER_WINDOW}")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("mul", help="multiply two words (right factor acts first)")
@@ -228,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "dist",
         help="exact distance to the identity: the half-plane bound (1 for a),"
-        " proved by a box tour of that length that is replayed, with no search",
+        " proved by a witness word of that length that is replayed, with no search",
     )
     common(p, ("word",))
     p.add_argument(
@@ -238,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     memory_cap(p)
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("witness", help="witness word of length <= 6n (not always geodesic)")
+    p = sub.add_parser("witness", help="geodesic witness word, of length <= 6n")
     common(p, ("word",))
     p.set_defaults(func=cmd_witness)
 

@@ -6,11 +6,13 @@ Distances are taken in the 17-move metric of the generating set
 
     H_n = { (p, q) : |p| <= n, |q| <= n, |p + q| <= n }
 
-with corners (n,0), (-n,0), (0,n), (0,-n), (n,-n), (-n,n).  Any element
-whose lamps and position fit in H_n admits a witness word of length at
-most 6n (:func:`witness_word`), and the triple-lamp elements produced by
-:func:`make_gn` need exactly 6n (:func:`halfplane_bound`), which is what
-the depth certificates in :func:`certify_depth` are built on.
+with corners (n,0), (-n,0), (0,n), (0,-n), (n,-n), (-n,n).  Every element
+g but the origin press ``a`` (length 1) has length
+:func:`halfplane_bound`\\ (g): the half-plane lemma gives the lower side,
+and :func:`witness_word`, the one witness builder, a word of that length.
+Inside H_n the bound is at most 6n, and the triple-lamp elements produced
+by :func:`make_gn` need exactly 6n, which is what the depth certificates
+in :func:`certify_depth` are built on.
 
 Breadth-first searches here are sequential and deterministic: given the
 same inputs they produce identical counts and certificates.
@@ -19,6 +21,7 @@ same inputs they produce identical counts and certificates.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 from sys import getsizeof
 
 from .core import (
@@ -28,7 +31,6 @@ from .core import (
     multiply,
     press_effect,
 )
-from .gf2 import solve_subset_xor
 from .words import (
     ACTIONS,
     EMPTY_METRIC,
@@ -53,16 +55,10 @@ _PAIR_COST = getsizeof((0, 0))
 _SLOT_COST = getsizeof(dict.fromkeys(range(1024))) // 1024
 _INT_COST = getsizeof(2**30)
 _STATE_COST = getsizeof(identity()) + _PAIR_COST + _SLOT_COST
-# A box-tour vertex holds its position pair and coordinates, an entry in the
-# vertex set, the first-visit map and the press-effect cache, and a cache
-# node and replay letters about one more pair in size.  A segment lamp holds
-# an entry in the segment and in the solver's index, and its bit number.
+# A vertex of a witness walk may carry a press: its position pair and
+# coordinates, a slot in the press set and the press-effect cache, and a
+# cache node and word run about one more pair in size.
 _VERTEX_COST = 2 * _PAIR_COST + 3 * _SLOT_COST + 2 * _INT_COST
-_SEGMENT_COST = 2 * _SLOT_COST + _INT_COST
-
-
-class SingularSystemError(ValueError):
-    """A press system that was expected to be solvable is not."""
 
 
 class RadiusExceeded(RuntimeError):
@@ -100,14 +96,6 @@ def hex_param(g: Element) -> int:
     return value
 
 
-def in_T(pos: Pos, n: int) -> bool:
-    """Membership in the triangle with corners (0,0), (0,-n), (n,-n)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    p, q = pos
-    return 0 <= p <= n and -n <= q <= 0 and p <= -q
-
-
 @dataclass(frozen=True)
 class TrapezoidSolution:
     """Rows of bits over a base sequence, with the exceptional entries marked.
@@ -132,6 +120,9 @@ def trapezoid_summits(base, rows: int) -> TrapezoidSolution:
     Each new row is filled right to left, choosing every entry so that the
     entry below-right of it satisfies its mod-2 relation.  Violations then
     survive only at left ends and in the top row; those are the summits.
+    This is the paper's own construction of the t-axis presses.  It sits
+    outside the witness path, which :func:`witness_word` solves by
+    back-substitution; the selftest suite ``metric-trapezoid`` checks it.
     """
     bits = [int(b) for b in base]
     if any(b not in (0, 1) for b in bits):
@@ -158,40 +149,6 @@ def trapezoid_summits(base, rows: int) -> TrapezoidSolution:
     return TrapezoidSolution(tuple(bits), rows, frozenset(summits))
 
 
-def arc_press_solve(target, arc, segment) -> set[Pos]:
-    """Subset of ``arc`` whose presses reproduce ``target`` on ``segment``.
-
-    ``segment`` lists the lampstand positions on which equality is
-    enforced; effects outside it are ignored (callers counteract them
-    separately).  Elimination consumes columns in arc order and never
-    selects redundant ones, so an empty target yields the empty press set.
-    Raises :class:`SingularSystemError` when no subset works.
-    """
-    index = {pos: i for i, pos in enumerate(segment)}
-    if len(index) != len(list(segment)):
-        raise ValueError("segment positions must be distinct")
-    want = 0
-    for lamp in target:
-        if lamp not in index:
-            raise SingularSystemError(f"target lamp {lamp} lies outside the segment")
-        want |= 1 << index[lamp]
-    arc = list(arc)
-    columns = []
-    for vertex in arc:
-        mask = 0
-        for lamp in press_effect(vertex):
-            bit = index.get(lamp)
-            if bit is not None:
-                mask |= 1 << bit
-        columns.append(mask)
-    combo = solve_subset_xor(columns, want)
-    if combo is None:
-        raise SingularSystemError(
-            "press system is singular on the segment; no subset of the arc matches"
-        )
-    return {arc[i] for i in range(len(arc)) if combo >> i & 1}
-
-
 # Letter for one unit move, keyed by (delta, press before, press after):
 # the inverse of ACTIONS over the 16 letters that step.
 _MOVE_LETTERS: dict[tuple[Pos, bool, bool], Letter] = {
@@ -212,22 +169,6 @@ def _walk_to(path: list[Pos], target: Pos) -> None:
         path.append((target[0], q))
     if target[1] != q:
         path.append(target)
-
-
-def _vertices(path: list[Pos]) -> list[Pos]:
-    """Every vertex of the walk through the corners ``path``, in walk order."""
-    p, q = path[0]
-    vertices = [(p, q)]
-    for tp, tq in path[1:]:
-        step = 1 if tp > p else -1
-        while p != tp:
-            p += step
-            vertices.append((p, q))
-        step = 1 if tq > q else -1
-        while q != tq:
-            q += step
-            vertices.append((p, q))
-    return vertices
 
 
 def _word_from_path(path: list[Pos], presses: set[Pos]) -> Word:
@@ -277,83 +218,6 @@ def _word_from_path(path: list[Pos], presses: set[Pos]) -> Word:
         _, step, after = ACTIONS[letter]
         chrono[:1] = [(_MOVE_LETTERS[step, True, after], 1), (letter, count - 1)]
     return Word(merge_runs(reversed(chrono)), METRIC)
-
-
-def witness_word(g: Element) -> Word:
-    """Word over the 17 moves evaluating to ``g`` with length at most 6n.
-
-    Here n = :func:`hex_param`\\ (g).  The construction plans a lamplighter
-    tour of at most 6n unit moves together with button presses at visited
-    vertices, then fuses every press into an adjacent move so presses cost
-    nothing.  Four plans cover the position (p, q):
-
-    * p >= 0 starts with an out-and-back along the negative s-axis to its
-      farthest lamp, lighting the s-axis lamps; with none it skips this.
-    * p >= 0 with (p, q) in the lower triangle then tours the whole t-axis
-      segment, pressing lamps directly.
-    * p >= 0 otherwise descends the t-axis and climbs a trapezoid whose
-      summit presses realise the t-axis pattern from positions on the
-      remaining two arcs.
-    * p < 0 tours the t-axis, then walks an arc parallel to the s-axis at
-      height +/-n, out to the farther of p and the farthest arc press;
-      presses on that arc are solved over GF(2) to realise the s-axis
-      lamps, and their side effects on the t-axis are counteracted by
-      extra presses on the segment already walked.
-
-    The lone element that presses only the origin button is returned as
-    the single letter ``a``; its length 1 exceeds the vacuous bound 6*0,
-    the one exception to the estimate.
-    """
-    n = hex_param(g)
-    if n == 0:
-        if g.lamps:
-            return _PRESS
-        return EMPTY_METRIC
-    p, q = g.pos
-    s_targets = {lamp for lamp in g.lamps if lamp[1] == 0 and lamp[0] < 0}
-    t_targets = {lamp for lamp in g.lamps if lamp[0] == 0}
-    path: list[Pos] = [(0, 0)]
-    if p >= 0:
-        if s_targets:
-            _walk_to(path, min(s_targets))
-            _walk_to(path, (0, 0))
-        presses = set(s_targets)
-        if in_T(g.pos, n):
-            _walk_to(path, (0, n))
-            _walk_to(path, (0, -n))
-            _walk_to(path, (0, q))
-            _walk_to(path, (p, q))
-            presses |= t_targets
-        else:
-            _walk_to(path, (0, -n))
-            _walk_to(path, (0, -p))
-            _walk_to(path, (p, -p))
-            _walk_to(path, (p, n - p))
-            _walk_to(path, (p, q))
-            presses |= {lamp for lamp in t_targets if lamp[1] < -p}
-            base_bits = [1 if (0, j) in t_targets else 0 for j in range(-p, n + 1)]
-            solution = trapezoid_summits(base_bits, p + 1)
-            presses |= {(row, -p + idx) for row, idx in solution.summits}
-    else:
-        arc_q = -n if q <= 0 else n
-        arc = [(-k, arc_q) for k in range(1, n + 1)]
-        segment = [(-k, 0) for k in range(1, n + 1)]
-        chosen = arc_press_solve(s_targets, arc, segment)
-        _walk_to(path, (0, -arc_q))
-        _walk_to(path, (0, arc_q))
-        _walk_to(path, min(chosen | {(p, arc_q)}))
-        presses = set(chosen)
-        achieved: set[Pos] = set()
-        for vertex in chosen:
-            achieved ^= press_effect(vertex)
-        residual = g.lamps ^ frozenset(achieved)
-        for lamp in residual:
-            if lamp[0] != 0 or abs(lamp[1]) > n:
-                raise RuntimeError(f"arc presses left residue {lamp} off the toured t-axis")
-        presses |= residual
-        _walk_to(path, (p, arc_q))
-        _walk_to(path, (p, q))
-    return _word_from_path(path, presses)
 
 
 def make_gn(n: int) -> tuple[Element, Word]:
@@ -503,80 +367,104 @@ def sphere_sizes(
     return counts
 
 
-def box_tour_word(g: Element, budget: _Budget | None = None) -> Word:
-    """Word for ``g`` along a walk of :func:`halfplane_bound`\\ (g) moves.
+def witness_word(g: Element, budget: _Budget | None = None) -> Word:
+    """Geodesic word for ``g``: a walk of :func:`halfplane_bound`\\ (g) moves.
 
     The walk leaves the origin, goes round the box of :func:`_box` through
     corners picked by the signs of ``g.pos`` and ends there, so each
     coordinate travels twice the box's extent in it minus its net move.
-    Presses at the walk's vertices that reproduce ``g.lamps`` are solved
-    over GF(2), on the union of the vertices' press effects, and fused into
-    the moves, so the word has :func:`halfplane_bound`\\ (g) letters (one,
-    ``a``, for the origin press, whose bound is 0).  The word is not
-    replayed here.  The walk and the press system are charged to
-    ``budget`` (default: a fresh one at ``DEFAULT_MEMORY_LIMIT_MB``) before
-    they are built.
+    Presses at walked vertices that reproduce ``g.lamps`` are fused into
+    the moves, so the word has :func:`halfplane_bound`\\ (g) letters, the
+    length of ``g`` by the half-plane lemma; the origin press, whose bound
+    is 0, is the one letter ``a``.  Inside H_n we have F <= n, D <= n and
+    P + Q <= n (below), so ``halfplane_bound(g) <= 6n``: the paper's 6n
+    upper bound follows from the formula.  The word is not replayed here;
+    :func:`exact_distance` and :func:`certify_depth` replay it.  The walk
+    is charged to ``budget`` (default: a fresh one at
+    ``DEFAULT_MEMORY_LIMIT_MB``) before it is built, and each press effect
+    as it is computed.
 
-    The presses always exist.  Let (-F, -D) and (P, Q) be the corners of
-    the box.  The lamps of ``g`` lie on the s-axis at (-F..-1, 0) and on
-    the t-axis at (0, -D..P+Q).  A walked lampstand vertex toggles just its
-    own lamp, and a press at (p, q) is x^q (1+x)^p (:func:`press_effect`).
-    Each leg of the walk adjusts p before q (:func:`_walk_to`), so by the
-    signs of (e_p, e_q) = ``g.pos`` it covers:
+    The presses are solved by back-substitution, and its order is the proof
+    that they exist.  Let (-F, -D) and (P, Q) be the corners of the box.
+    The lamps of ``g`` lie on the s-axis at (-F..-1, 0) and on the t-axis
+    at (0, -D..P+Q).  A press at (p, q) is x^q (1+x)^p
+    (:func:`press_effect`).  For p >= 0 it lights t-axis lamps in q..p+q,
+    both ends among them.  For p < 0 it lights (p, 0), other s-axis lamps
+    nearer the origin, and t-axis lamps in q..-1 with q among them when
+    q < 0, or in 0..p+q when q >= 0.  A lampstand press toggles just its own
+    lamp.  Each leg of the walk adjusts p before q (:func:`_walk_to`).  By
+    the signs of (e_p, e_q) = ``g.pos``, the walk and an ordered list of
+    (vertex, pivot lamp) pairs are:
 
-    * e_p >= 0 and e_q >= 0: the s-axis out to -F; the row q = -D for
-      p = 0..P, giving x^-D (1+x)^p; the column p = P for q = -D..Q, giving
-      x^q (1+x)^P.  The two families have dimensions P+1 and D+Q+1 and, as
-      x and 1+x are coprime, share only x^-D (1+x)^P, so they span every
-      t-axis pattern on -D..P+Q.  Presses at p >= 0 light no s-axis lamp.
-    * e_p < 0 <= e_q (so P = 0): the t-axis from -D to Q.  The press at
-      (-k, Q), k = 1..F, lights (-k, 0), other s-axis lamps nearer the
-      origin and t-axis lamps in 0..Q-k, all of them walked, so the s-axis
-      is solved from -F inward and the t-axis lamp by lamp.
-    * e_q < 0 <= e_p: the s-axis directly; the row q = 0 for p = 0..P and
-      the column p = P for q = -D..Q, which share only (1+x)^P and span the
-      t-axis as in the first case.
-    * both negative (so P = 0): the t-axis from 0 to Q, and the column
-      p = -F for q = -D..-1.  The press at (-F, q) has lowest t-axis lamp
-      q, its other t-axis lamps in q+1..-1 and its s-axis lamps in -F..-1,
-      so the column solves the negative t-axis bottom-up.  The row q = Q
-      then solves the s-axis as in the second case.
+    * e_p >= 0 and e_q >= 0: the s-axis out to -F, the row q = -D from -F
+      to P and the column p = P up to Q.  Column (P, q) for q = Q..-D,
+      pivot (0, P+q); then row (p, -D) for p = P-1..0, pivot (0, p-D).
+      Every press lights t-axis lamps no higher than its pivot, so the
+      t-axis is settled from P+Q down to -D.
+    * e_p < 0 <= e_q (so P = 0): the t-axis from -D to Q, then the row
+      q = Q out to -F.  Row (-k, Q) for k = F..1, pivot (-k, 0).  Every
+      press lights s-axis lamps no farther out than its pivot, so the
+      s-axis is settled from -F inward.
+    * e_q < 0 <= e_p: the s-axis out to -F, the row q = 0 from -F to P and
+      the column p = P from Q down to -D.  Column (P, q) for q = -D..-1,
+      pivot (0, q), lowest lamp first: every press lights t-axis lamps no
+      lower than its pivot.  Then column (P, q) for q = Q..0, pivot
+      (0, P+q), and row (p, 0) for p = P-1..0, pivot (0, p), as in the
+      first case on the lamps 0..P+Q; these light no negative t-axis lamp.
+    * both negative (so P = 0): the t-axis from 0 to Q, the row q = Q out
+      to -F and the column p = -F down to -D.  Column (-F, q) for
+      q = -D..-1, pivot (0, q): every press lights t-axis lamps in q..-1
+      and s-axis lamps only.  Then row (-k, Q) for k = F..1, pivot (-k, 0),
+      as in the second case; these light no negative t-axis lamp.
 
-    Hence :func:`arc_press_solve` never raises :class:`SingularSystemError`
-    here; :func:`exact_distance` replays the word on every call regardless.
+    The solve is one loop: starting from ``g.lamps``, press each vertex
+    whose pivot is lit and toggle its effect.  No press ever toggles a
+    pivot that an earlier press has settled, so every pivot ends dark.
+    What is left lies on the s-axis in the first and third cases, on the
+    t-axis from -D to Q in the second and from 0 to Q in the fourth:
+    walked lampstand vertices, each its own press.
     """
     if budget is None:
-        budget = _Budget(None, "box tour")
-    (p_lo, q_lo), (p_hi, q_hi) = _box(g)
+        budget = _Budget(None, "witness word")
+    # Corners named as in the proof above.
+    (p_lo, q_lo), (P, Q) = _box(g)
+    F, D = -p_lo, -q_lo
     ep, eq = g.pos
+    budget.spend(_VERTEX_COST * (2 * (F + D + P + Q) - abs(ep) - abs(eq) + 1))
     if ep >= 0 and eq >= 0:
-        corners = [(p_lo, 0), (p_lo, q_lo), (p_hi, q_hi)]
+        corners = [(-F, 0), (-F, -D), (P, Q)]
+        pairs = chain(
+            (((P, q), (0, P + q)) for q in range(Q, -D - 1, -1)),
+            (((p, -D), (0, p - D)) for p in range(P - 1, -1, -1)),
+        )
     elif eq >= 0:
-        corners = [(0, q_lo), (p_hi, q_hi), (p_lo, q_hi)]
+        corners = [(0, -D), (0, Q), (-F, Q)]
+        pairs = (((-k, Q), (-k, 0)) for k in range(F, 0, -1))
     elif ep >= 0:
-        corners = [(p_lo, 0), (p_hi, q_hi), (p_hi, q_lo)]
+        corners = [(-F, 0), (P, Q), (P, -D)]
+        pairs = chain(
+            (((P, q), (0, q)) for q in range(-D, 0)),
+            (((P, q), (0, P + q)) for q in range(Q, -1, -1)),
+            (((p, 0), (0, p)) for p in range(P - 1, -1, -1)),
+        )
     else:
-        corners = [(p_hi, q_hi), (p_lo, q_lo)]
-    # The walk has halfplane_bound(g) moves.
-    moves = 2 * (p_hi - p_lo + q_hi - q_lo) - abs(ep) - abs(eq)
-    budget.spend(_VERTEX_COST * (moves + 1))
+        corners = [(0, Q), (-F, -D)]
+        pairs = chain(
+            (((-F, q), (0, q)) for q in range(-D, 0)),
+            (((-k, Q), (-k, 0)) for k in range(F, 0, -1)),
+        )
+    residual = set(g.lamps)
+    presses = set()
+    for vertex, pivot in pairs:
+        if pivot in residual:
+            effect = press_effect(vertex)
+            budget.spend(getsizeof(effect) + (_PAIR_COST + _INT_COST) * len(effect))
+            residual ^= effect
+            presses.add(vertex)
     path: list[Pos] = [(0, 0)]
     for corner in corners + [g.pos]:
         _walk_to(path, corner)
-    vertices = list(dict.fromkeys(_vertices(path)))
-    segment: dict[Pos, None] = {}
-    for vertex in vertices:
-        effect = press_effect(vertex)
-        budget.spend(getsizeof(effect) + (_PAIR_COST + _INT_COST) * len(effect))
-        segment.update(dict.fromkeys(effect))
-    # Each vertex's column and elimination record: two masks over the
-    # segment, one over the vertices and a pair.
-    column = getsizeof(1 << len(segment))
-    budget.spend(
-        _SEGMENT_COST * len(segment)
-        + len(vertices) * (2 * column + getsizeof(1 << len(vertices)) + _PAIR_COST)
-    )
-    return _word_from_path(path, arc_press_solve(g.lamps, vertices, segment))
+    return _word_from_path(path, presses | residual)
 
 
 def exact_distance(
@@ -587,14 +475,14 @@ def exact_distance(
     The length is max(:func:`halfplane_bound`\\ (g), [g != 1]), and every
     call proves it without a search: the half-plane lemma, and the one
     letter every element but the identity needs, give the lower side, and
-    :func:`box_tour_word`, replayed here, spells ``g`` in exactly that many
+    :func:`witness_word`, replayed here, spells ``g`` in exactly that many
     letters.  Raises :class:`RadiusExceeded` at once when that length
     exceeds ``max_r``; the exception carries the radius and the length as
     a lower bound, not a number.  Raises :class:`MemoryCapExceeded` when
-    the tour outgrows ``memory_limit_mb`` (default
+    the witness walk outgrows ``memory_limit_mb`` (default
     ``DEFAULT_MEMORY_LIMIT_MB``, read at call time), and ``RuntimeError``
-    if the tour fails to replay at that length, which would refute the
-    proof in :func:`box_tour_word`.  :func:`search_distance` is the
+    if the witness fails to replay at that length, which would refute the
+    proof in :func:`witness_word`.  :func:`search_distance` is the
     independent oracle.
     """
     if max_r < 1:
@@ -602,9 +490,9 @@ def exact_distance(
     lower = max(halfplane_bound(g), int(g != identity()))
     if lower > max_r:
         raise RadiusExceeded(max_r, lower)
-    word = box_tour_word(g, _Budget(memory_limit_mb, f"distance to radius {max_r}"))
+    word = witness_word(g, _Budget(memory_limit_mb, f"distance to radius {max_r}"))
     if a_length(word) != lower or evaluate(word) != g:
-        raise RuntimeError(f"the box tour does not replay in {lower} letters")
+        raise RuntimeError(f"the witness word does not replay in {lower} letters")
     return lower
 
 
@@ -615,8 +503,8 @@ def search_distance(g: Element, max_r: int, memory_limit_mb: int | None = None) 
     full layer at a time.  Both sides prepend moves: one grows the ball
     B(r_a), the other the left translates B(r_b)*g.  Since
     B(r_b)*B(r_a) = B(r_a + r_b), the two meet exactly when
-    |g| <= r_a + r_b.  It uses neither the half-plane bound nor the box
-    tour, so it is the oracle of :func:`exact_distance`.  Raises
+    |g| <= r_a + r_b.  It uses neither the half-plane bound nor the
+    witness word, so it is the oracle of :func:`exact_distance`.  Raises
     :class:`RadiusExceeded` past ``max_r`` and :class:`MemoryCapExceeded`
     when the states of both sides outgrow ``memory_limit_mb`` (default
     ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).
@@ -694,7 +582,8 @@ def certify_depth(
     certifier therefore bounds the left-translates b*u instead.  Those
     stay inside the radius-n hexagon (k <= n grid steps from the origin,
     and presses inside the hexagon only toggle lamps inside it), so each
-    admits a witness word, which is replayed and measured against 6n.
+    has a geodesic witness word of length at most 6n, which is replayed
+    and measured against 6n.
     That |u| = 6n is checked too: its :func:`halfplane_bound` must be 6n.
 
     Requires 0 <= k <= n; the hexagon argument does not reach further.

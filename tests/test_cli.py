@@ -56,6 +56,21 @@ class TestWitness:
         data = json.loads(out)
         assert data["a_length"] == 6 and data["bound"] == 6
 
+    def test_long_translation_is_geodesic(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "witness", "s^2000", "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        data = json.loads(out)
+        assert (data["word"], data["a_length"]) == ("s^2000", 2000)
+
+    def test_input_limit_hits_the_memory_cap(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "witness", "s^2147483647")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "MiB cap" in err
+
 
 class TestNumericCommands:
     def test_tour(self, capsys):
@@ -148,6 +163,21 @@ class TestRender:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "window" in err
+
+    def test_window_at_the_limit(self, capsys):
+        code, out, _ = run(capsys, "render", "s^400")
+        assert code == 0
+        assert out.count("\n") == 801 + 4
+
+    @pytest.mark.parametrize(
+        "argv", [("s^2147483647",), ("a", "--window", "2147483647")], ids=["implied", "given"]
+    )
+    def test_huge_window_fails(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "render", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert "window 2147483647 exceeds the render limit 500" in err
 
 
 class TestSelftest:
@@ -246,5 +276,5 @@ class TestOutputFingerprint:
         headers = [i for i, line in enumerate(lines) if line.startswith("# ")]
         ball = lines[headers[2] + 1:headers[3]]
         assert len(ball) == 1 + 17 + 70 + 240
-        assert ball[0] == " |  |  | 0"
+        assert ball[0] == " |  | 0"
         assert lines.count("exit 0") > lines.count("exit 1") > 0

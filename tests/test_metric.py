@@ -15,11 +15,8 @@ from lampgrid import (
     METRIC,
     PRESENTATION,
     RadiusExceeded,
-    SingularSystemError,
     a_length,
-    arc_press_solve,
     ball_with_depths,
-    box_tour_word,
     certify_depth,
     evaluate,
     exact_distance,
@@ -27,7 +24,6 @@ from lampgrid import (
     halfplane_bound,
     hex_param,
     identity,
-    in_T,
     in_hex,
     make_gn,
     multiply,
@@ -89,14 +85,6 @@ class TestHexagon:
     def test_hex_param_position_only(self):
         assert hex_param(Element(frozenset(), (2, -1))) == 2
 
-    def test_in_T_corners(self):
-        assert in_T((0, 0), 4)
-        assert in_T((4, -4), 4)
-        assert in_T((0, -4), 4)
-
-    def test_in_T_excludes_above_diagonal(self):
-        assert not in_T((1, 0), 4)
-
     def test_in_hex_boundary(self):
         assert in_hex((2, -4), 4)
         assert not in_hex((3, 3), 4)
@@ -139,37 +127,6 @@ class TestTrapezoid:
             assert lev == rows - 1 or u == 0
 
 
-class TestArcPressSolve:
-    def test_empty_target(self):
-        arc = [(-1, -2), (-2, -2)]
-        assert arc_press_solve(set(), arc, [(-1, 0), (-2, 0)]) == set()
-
-    def test_single_lamp(self):
-        arc = [(-1, -2), (-2, -2)]
-        got = arc_press_solve({(-1, 0)}, arc, [(-1, 0), (-2, 0)])
-        assert got == {(-1, -2)}
-
-    @given(st.integers(1, 8), st.data())
-    def test_replay_on_segment(self, n, data):
-        segment = [(-k, 0) for k in range(1, n + 1)]
-        target = set(data.draw(st.lists(st.sampled_from(segment), max_size=n)))
-        arc = [(-k, -n) for k in range(1, n + 1)]
-        chosen = arc_press_solve(target, arc, segment)
-        replay = set()
-        for vertex in chosen:
-            replay ^= press_effect(vertex)
-        assert {lamp for lamp in replay if lamp in set(segment)} == target
-
-    def test_singular_system(self):
-        # a press on the t-axis cannot reach any s-axis lamp
-        with pytest.raises(SingularSystemError):
-            arc_press_solve({(-1, 0)}, [(0, -2)], [(-1, 0), (-2, 0)])
-
-    def test_target_outside_segment(self):
-        with pytest.raises(SingularSystemError):
-            arc_press_solve({(0, 1)}, [(-1, -2)], [(-1, 0)])
-
-
 class TestWitness:
     def test_identity_empty(self):
         word = witness_word(identity())
@@ -193,6 +150,7 @@ class TestWitness:
         word = witness_word(g)
         assert word.alphabet == METRIC
         assert evaluate(word) == g
+        assert a_length(word) == halfplane_bound(g) + (g == A_ELEMENT)
         if g != A_ELEMENT:
             assert a_length(word) <= 6 * hex_param(g)
 
@@ -205,10 +163,11 @@ class TestWitness:
             assert a_length(word) <= 6 * hex_param(g)
 
     @pytest.mark.parametrize(
-        "text, length", [("t^3 a s^-2 a t", 14), ("s^2 t^-1 a t", 6)]
+        "text, length", [("t^3 a s^-2 a t", 6), ("s^2 t^-1 a t", 2)]
     )
     def test_no_out_and_back_overshoot(self, text, length):
-        # p < 0 and p >= 0 plans: no s-run walked out and straight back.
+        # p < 0 and p >= 0: the exact distances, and no s-run walked out and
+        # straight back.
         g = evaluate(parse(text, PRESENTATION))
         word = witness_word(g)
         assert evaluate(word) == g
@@ -377,7 +336,7 @@ class TestBoxTour:
             g = random_element(n, seed)
             if g == A_ELEMENT:
                 continue
-            word = box_tour_word(g)
+            word = witness_word(g)
             assert word is not None, (n, seed)
             assert evaluate(word) == g, (n, seed)
             assert a_length(word) == halfplane_bound(g), (n, seed)
@@ -391,19 +350,19 @@ class TestBoxTour:
                 for mask in range(1 << len(stand)):
                     lamps = frozenset(pt for i, pt in enumerate(stand) if mask >> i & 1)
                     g = Element(lamps, (p, q))
-                    word = box_tour_word(g)
+                    word = witness_word(g)
                     assert evaluate(word) == g, g
                     assert a_length(word) == halfplane_bound(g) + (g == A_ELEMENT), g
 
     def test_origin_press_is_one_letter_over(self):
-        word = box_tour_word(A_ELEMENT)
+        word = witness_word(A_ELEMENT)
         assert evaluate(word) == A_ELEMENT
         assert (a_length(word), halfplane_bound(A_ELEMENT)) == (1, 0)
 
     def test_memory_cap_before_walking(self):
         far = Element(frozenset(), (2**31, 0))
         with pytest.raises(MemoryCapExceeded):
-            box_tour_word(far, metric._Budget(1, "box tour"))
+            witness_word(far, metric._Budget(1, "box tour"))
 
 
 def fuse_by_vertex(path, presses):
@@ -448,10 +407,9 @@ class TestFuser:
     @settings(max_examples=300)
     def test_matches_vertex_by_vertex(self, walk):
         path, presses = walk
-        letters, vertices = fuse_by_vertex(path, presses)
+        letters, _ = fuse_by_vertex(path, presses)
         word = metric._word_from_path(path, presses)
         assert word.letters == tuple(letters)
-        assert metric._vertices(path) == vertices
 
     def test_corners_only(self):
         path = [(0, 0)]
@@ -555,6 +513,18 @@ class TestCertifyDepth:
         assert certificate.verdict == "certified"
         assert certificate.neighborhood_size == 18
         assert certificate.max_witness_length <= 6
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_max_witness_is_the_longest_neighbour(self, n):
+        # Geodesic witnesses make the certificate's maximum the true one.
+        anchor, _ = make_gn(n)
+        searched = {
+            b: (depth, search_distance(multiply(anchor, b), 6 * n))
+            for b, depth in ball_with_depths(n).items()
+        }
+        for k in range(n + 1):
+            longest = max(length for depth, length in searched.values() if depth <= k)
+            assert certify_depth(n, k).max_witness_length == longest, k
 
     def test_neighbours_confirmed_by_search(self):
         anchor, _ = make_gn(1)
