@@ -38,7 +38,10 @@ def main() -> int:
             return 1
 
     anchor, _ = make_gn(1)
-    assert search_distance(anchor, 6) == 6
+    # An explicit check, unlike `assert`, still runs under `python -O`.
+    if search_distance(anchor, 6) != 6:
+        print("n=1 anchor distance is not 6 by bidirectional search")
+        return 1
     print("n=1 anchor distance confirmed exactly 6 by bidirectional search")
 
     if args.out:

@@ -6,7 +6,7 @@ environment variable with the ``LAMPGRID_`` prefix (``LAMPGRID_SEED``,
 ``LAMPGRID_MAX_RADIUS``, ...); explicit flags win.
 
 Exit codes: 0 success, 1 domain error (bad word, search or memory limits,
-render window), 2 usage error.
+render window) or a failed depth certificate, 2 usage error.
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ def cmd_dist(args) -> int:
 def cmd_witness(args) -> int:
     el = evaluate(parse(args.word, args.alphabet))
     witness = witness_word(el)
+    if evaluate(witness) != el:
+        raise RuntimeError("the witness word does not replay")
     length = a_length(witness)
     bound = 6 * hex_param(el)
     if args.json:
@@ -121,8 +123,8 @@ def cmd_spheres(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.n < 1 or args.k < 0 or args.k > args.n:
-        print("usage error: require 1 <= n and 0 <= k <= n", file=sys.stderr)
+    if args.n < 1 or args.k < 0:
+        print("usage error: require 1 <= n and 0 <= k", file=sys.stderr)
         return 2
     certificate = certify_depth(args.n, args.k, args.memory_limit_mb)
     print(json.dumps(certificate.to_json()))
@@ -245,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     memory_cap(p)
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("witness", help="geodesic witness word, of length <= 6n")
+    p = sub.add_parser(
+        "witness", help="geodesic witness word, of length <= 6n, replayed before it is printed"
+    )
     common(p, ("word",))
     p.set_defaults(func=cmd_witness)
 
@@ -260,7 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
     p.set_defaults(func=cmd_spheres)
 
-    p = sub.add_parser("certify-depth", help="certify dead-end depth > k for the n-th anchor")
+    p = sub.add_parser(
+        "certify-depth",
+        help="prove dead-end depth > k for the n-th anchor (exit 0), or <= k (exit 1);"
+        " every neighbour is measured by its exact distance",
+    )
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     memory_cap(p)

@@ -10,9 +10,11 @@ with corners (n,0), (-n,0), (0,n), (0,-n), (n,-n), (-n,n).  Every element
 g but the origin press ``a`` (length 1) has length
 :func:`halfplane_bound`\\ (g): the half-plane lemma gives the lower side,
 and :func:`witness_word`, the one witness builder, a word of that length.
-Inside H_n the bound is at most 6n, and the triple-lamp elements produced
-by :func:`make_gn` need exactly 6n, which is what the depth certificates
-in :func:`certify_depth` are built on.
+Inside H_n the bound is at most 6n, and the triple-lamp anchor g_n of
+:func:`make_gn` needs exactly 6n.  :func:`certify_depth` measures every
+neighbour of g_n within distance k with :func:`exact_distance`, so both
+of its verdicts are proofs: depth > k when all stay within 6n, depth <= k
+when one leaves.  For n <= 4 the two meet at depth(g_n) = 2n + 1.
 
 Breadth-first searches here are sequential and deterministic: given the
 same inputs they produce identical counts and certificates.
@@ -336,7 +338,7 @@ def _expand_layer(
 
 
 def ball_with_depths(
-    radius: int, memory_limit_mb: int = DEFAULT_MEMORY_LIMIT_MB
+    radius: int, memory_limit_mb: int | None = None
 ) -> dict[Element, int]:
     """All elements of word length at most ``radius``, mapped to their length.
 
@@ -344,7 +346,8 @@ def ball_with_depths(
     normal form, each new layer prepends one of the 17 moves.  Expansion
     order is fixed, so the mapping (and its iteration order) is
     deterministic.  Raises :class:`MemoryCapExceeded` when the stored
-    states outgrow the cap.
+    states outgrow ``memory_limit_mb`` (default ``DEFAULT_MEMORY_LIMIT_MB``,
+    read at call time).
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -357,7 +360,7 @@ def ball_with_depths(
 
 
 def sphere_sizes(
-    r_max: int, memory_limit_mb: int = DEFAULT_MEMORY_LIMIT_MB
+    r_max: int, memory_limit_mb: int | None = None
 ) -> list[int]:
     """Sizes |S(0)|, ..., |S(r_max)| of the spheres about the identity."""
     depths = ball_with_depths(r_max, memory_limit_mb)
@@ -379,7 +382,7 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     is 0, is the one letter ``a``.  Inside H_n we have F <= n, D <= n and
     P + Q <= n (below), so ``halfplane_bound(g) <= 6n``: the paper's 6n
     upper bound follows from the formula.  The word is not replayed here;
-    :func:`exact_distance` and :func:`certify_depth` replay it.  The walk
+    :func:`exact_distance` replays it.  The walk
     is charged to ``budget`` (default: a fresh one at
     ``DEFAULT_MEMORY_LIMIT_MB``) before it is built, and each press effect
     as it is computed.
@@ -534,11 +537,15 @@ def search_distance(g: Element, max_r: int, memory_limit_mb: int | None = None) 
 
 @dataclass(frozen=True)
 class DepthCertificate:
-    """Machine-checkable record that a radius-k neighbourhood stays in a ball.
+    """Machine-checkable record of the anchor's neighbours within distance k.
 
     ``verdict == "certified"`` means: every element within distance k of
     the anchor element has word length at most ``ball_radius`` (= 6n), so
-    the anchor's dead-end depth is at least k+1.
+    the anchor's dead-end depth is at least k+1.  ``verdict == "failed"``
+    means: the offset b spelled by ``failure_witness``, itself within
+    distance k, takes the anchor out of that ball, so its dead-end depth is
+    at most k.  ``max_witness_length`` is the longest neighbour
+    checked before the verdict.
     """
 
     n: int
@@ -555,7 +562,7 @@ class DepthCertificate:
     def describe(self) -> str:
         lines = [
             f"anchor: triple-lamp element of length exactly {self.ball_radius} (= 6*{self.n})",
-            f"checked: all {self.neighborhood_size} elements within distance {self.k}",
+            f"neighbourhood: {self.neighborhood_size} elements within distance {self.k}",
             f"longest witness found: {self.max_witness_length}",
         ]
         if self.verdict == "certified":
@@ -563,57 +570,54 @@ class DepthCertificate:
                 f"verdict: certified; dead-end depth of the anchor is at least {self.k + 1}"
             )
         else:
-            lines.append(f"verdict: FAILED at neighbour offset {self.failure_witness}")
+            lines.append(
+                f"verdict: FAILED at neighbour offset {self.failure_witness};"
+                f" dead-end depth of the anchor is at most {self.k}"
+            )
         lines.append(
-            "note: the anchor's length 6n is proved: halfplane_bound gives the"
-            " lower side and the defining word of make_gn the upper side."
+            "note: every length is proved: halfplane_bound gives the lower side,"
+            " and a replayed word the upper side (make_gn's for the anchor)."
         )
         return "\n".join(lines)
 
 
 def certify_depth(
-    n: int, k: int, memory_limit_mb: int = DEFAULT_MEMORY_LIMIT_MB
+    n: int, k: int, memory_limit_mb: int | None = None
 ) -> DepthCertificate:
-    """Certify that the anchor element of :func:`make_gn` has depth > k.
+    """Certify that the anchor element of :func:`make_gn` has depth > k, or not.
 
     The neighbourhood of the anchor u consists of the products u*b for b
     in the radius-k ball.  Word length is inversion-invariant and u is an
     involution, so |u*b| = |b^-1*u|, and b -> b^-1 permutes the ball; the
-    certifier therefore bounds the left-translates b*u instead.  Those
-    stay inside the radius-n hexagon (k <= n grid steps from the origin,
-    and presses inside the hexagon only toggle lamps inside it), so each
-    has a geodesic witness word of length at most 6n, which is replayed
-    and measured against 6n.
-    That |u| = 6n is checked too: its :func:`halfplane_bound` must be 6n.
+    certifier therefore measures the left-translates b*u instead, each by
+    :func:`exact_distance` at radius 6n.  The first b, in breadth-first
+    order, whose translate is longer than 6n fails the certificate; since
+    :func:`exact_distance` raises on its proved lower bound, a failure
+    proves depth <= k.  That |u| = 6n is checked too: its
+    :func:`halfplane_bound` must be 6n and the defining word of
+    :func:`make_gn` must replay in 6n letters.  ``memory_limit_mb`` caps
+    the ball and each neighbour's witness (default
+    ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).
 
-    Requires 0 <= k <= n; the hexagon argument does not reach further.
+    Requires n >= 1 and k >= 0.
     """
-    if n < 1:
-        raise ValueError("certify_depth requires n >= 1")
-    if not 0 <= k <= n:
-        raise ValueError("certify_depth requires 0 <= k <= n")
-    anchor, _ = make_gn(n)
+    if n < 1 or k < 0:
+        raise ValueError("certify_depth requires n >= 1 and k >= 0")
+    anchor, word = make_gn(n)
     bound = 6 * n
-    if multiply(anchor, anchor) != identity() or halfplane_bound(anchor) != bound:
-        raise RuntimeError("anchor is expected to be an involution of length 6n")
+    if multiply(anchor, anchor) != identity() or evaluate(word) != anchor:
+        raise RuntimeError("anchor is expected to be an involution spelled by its word")
+    if not halfplane_bound(anchor) == a_length(word) == bound:
+        raise RuntimeError("anchor is expected to have length 6n")
     depths = ball_with_depths(k, memory_limit_mb)
     max_length = 0
     for b in depths:
-        translate = multiply(b, anchor)
-        if hex_param(translate) > n:
+        try:
+            length = exact_distance(multiply(b, anchor), bound, memory_limit_mb)
+        except RadiusExceeded:
             return DepthCertificate(
                 n, k, bound, len(depths), max_length, "failed",
                 format_word(canonical_word(b)),
             )
-        witness = witness_word(translate)
-        if evaluate(witness) != translate:
-            raise RuntimeError("witness failed to replay; witness builder is broken")
-        length = a_length(witness)
-        if length > bound:
-            return DepthCertificate(
-                n, k, bound, len(depths), max_length, "failed",
-                format_word(canonical_word(b)),
-            )
-        if length > max_length:
-            max_length = length
+        max_length = max(max_length, length)
     return DepthCertificate(n, k, bound, len(depths), max_length, "certified", None)

@@ -25,6 +25,7 @@ from .core import (
     press_effect,
 )
 from .metric import (
+    RadiusExceeded,
     ball_with_depths,
     certify_depth,
     halfplane_bound,
@@ -416,15 +417,33 @@ def check_depth(max_n: int = 4) -> CheckResult:
                 f"certificate witness exceeded 6n at n={n}",
             )
             sizes.append(certificate.neighborhood_size)
-        # independent cross-check at n=1: every actual neighbour is inside
-        # the radius-6 ball by exhaustive bidirectional search
+        # the exact depth 2n+1: certified at k = 2n, failed one step further
+        for n in (1, 2):
+            inside, outside = certify_depth(n, 2 * n), certify_depth(n, 2 * n + 1)
+            _check(
+                inside.verdict == "certified"
+                and (outside.verdict, outside.failure_witness) == ("failed", f"s^{2 * n + 1}"),
+                f"dead-end depth of the n={n} anchor is not {2 * n + 1}",
+            )
+        # independent cross-check at n=1: by exhaustive bidirectional search,
+        # every neighbour within distance 2 is inside the radius-6 ball, and
+        # s^3 takes the anchor out of it
         anchor, _ = make_gn(1)
-        for b in ball_with_depths(1):
+        for b in ball_with_depths(2):
             _check(
                 search_distance(multiply(anchor, b), 6) <= 6,
                 "a neighbour of the n=1 anchor left the radius-6 ball",
             )
-        return f"certified depth > n for n in 1..{max_n}; ball sizes {sizes}"
+        try:
+            search_distance(multiply(evaluate(parse("s^3", METRIC)), anchor), 6)
+        except RadiusExceeded:
+            pass
+        else:
+            raise AssertionError("s^3 left the n=1 anchor inside the radius-6 ball")
+        return (
+            f"certified depth > n for n in 1..{max_n}; ball sizes {sizes};"
+            " depth exactly 2n+1 for n in 1..2"
+        )
 
     return _run("metric-depth", body)
 

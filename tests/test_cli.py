@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lampgrid
-from lampgrid import metric, selftest
+from lampgrid import cli, metric, selftest
 from lampgrid.cli import main
 
 
@@ -63,6 +63,12 @@ class TestWitness:
         assert code == 0
         data = json.loads(out)
         assert (data["word"], data["a_length"]) == ("s^2000", 2000)
+
+    def test_word_that_does_not_replay_is_not_printed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "witness_word", lambda el: lampgrid.parse("s", lampgrid.METRIC))
+        with pytest.raises(RuntimeError, match="does not replay"):
+            main(["witness", "t"])
+        assert capsys.readouterr().out == ""
 
     def test_input_limit_hits_the_memory_cap(self, capsys):
         start = time.perf_counter()
@@ -146,8 +152,18 @@ class TestCertify:
         assert data["verdict"] == "certified"
         assert data["neighborhood_size"] == 18
 
-    def test_usage_error_when_k_exceeds_n(self, capsys):
-        code, _, err = run(capsys, "certify-depth", "1", "2")
+    def test_depth_of_the_first_anchor_is_three(self, capsys):
+        code, out, _ = run(capsys, "certify-depth", "1", "2", "--json")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "certified"
+        code, out, _ = run(capsys, "certify-depth", "1", "3")
+        assert code == 1
+        data = json.loads(out.splitlines()[0])
+        assert (data["verdict"], data["failure_witness"]) == ("failed", "s^3")
+        assert "dead-end depth of the anchor is at most 3" in out
+
+    def test_usage_error_when_k_is_negative(self, capsys):
+        code, _, err = run(capsys, "certify-depth", "1", "-1")
         assert code == 2
         assert "usage error" in err
 
@@ -278,3 +294,26 @@ class TestOutputFingerprint:
         assert len(ball) == 1 + 17 + 70 + 240
         assert ball[0] == " |  | 0"
         assert lines.count("exit 0") > lines.count("exit 1") > 0
+
+
+class TestDepthCertificateScript:
+    def test_wrong_anchor_distance_fails_under_optimize(self):
+        # A distance other than 6 must exit 1 even with asserts stripped.
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_depth_certificates.py"
+        script = (
+            "import runpy, sys\n"
+            "import lampgrid\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit('not running under -O')\n"
+            "lampgrid.search_distance = lambda g, max_r: 5\n"
+            "sys.argv = ['run_depth_certificates.py', '--max-n', '1']\n"
+            f"runpy.run_path({str(path)!r}, run_name='__main__')\n"
+        )
+        src = str(Path(lampgrid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "confirmed" not in proc.stdout

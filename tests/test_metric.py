@@ -527,9 +527,14 @@ class TestCertifyDepth:
             assert certify_depth(n, k).max_witness_length == longest, k
 
     def test_neighbours_confirmed_by_search(self):
+        # search_distance uses neither the half-plane bound nor the witness.
         anchor, _ = make_gn(1)
-        for b in ball_with_depths(1):
+        for b in ball_with_depths(2):
             assert search_distance(multiply(anchor, b), 6) <= 6
+        for n in (1, 2):
+            escape = evaluate(parse(f"s^{2 * n + 1}", METRIC))
+            with pytest.raises(RadiusExceeded):
+                search_distance(multiply(escape, make_gn(n)[0]), 6 * n)
 
     def test_json_schema(self):
         certificate = certify_depth(2, 2)
@@ -549,6 +554,23 @@ class TestCertifyDepth:
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            certify_depth(2, 3)
+            certify_depth(2, -1)
         with pytest.raises(ValueError):
             certify_depth(0, 0)
+
+    def test_memory_cap_covers_the_witnesses(self):
+        # B(0) stores no state, so only the anchor's own witness can trip it.
+        with pytest.raises(MemoryCapExceeded):
+            certify_depth(1, 0, memory_limit_mb=0)
+
+    @pytest.mark.parametrize(
+        "n, inside, outside", [(1, 88, 328), (2, 1050, 3050), (3, 8284, 21420)]
+    )
+    def test_depth_is_two_n_plus_one(self, n, inside, outside):
+        certificate = certify_depth(n, 2 * n)
+        assert (certificate.verdict, certificate.neighborhood_size) == ("certified", inside)
+        assert certificate.max_witness_length == 6 * n
+        certificate = certify_depth(n, 2 * n + 1)
+        assert (certificate.verdict, certificate.neighborhood_size) == ("failed", outside)
+        assert certificate.failure_witness == f"s^{2 * n + 1}"
+        assert f"dead-end depth of the anchor is at most {2 * n + 1}" in certificate.describe()
