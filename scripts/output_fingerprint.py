@@ -7,8 +7,10 @@ Run it on two checkouts and compare the results:
     diff before.txt after.txt
 
 It prints sphere sizes, depth certificates as ``certify-depth n n --json``
-prints them, the witness word and exact distance of every element of a
-ball (each element named by its canonical word), and the stdout, stderr
+prints them, and the failed ones of ``certify-depth n 2n+1 --json``, one
+past the anchor's depth, so both verdicts are pinned; the witness word
+and exact distance of every element of a ball (each element named by its
+canonical word), and the stdout, stderr
 and exit code of the CLI's word commands on a fixed list of words in both
 alphabets, malformed ones included.  ``--quick`` uses a
 smaller radius and fewer anchors, so that the test suite can run it in a
@@ -87,14 +89,20 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smaller radius and anchors")
     args = parser.parse_args()
-    sphere_radius, max_n, ball_radius = (6, 4, 3) if args.quick else (8, 6, 5)
+    sphere_radius, max_n, max_failed_n, ball_radius = (
+        (6, 4, 1, 3) if args.quick else (8, 6, 2, 5)
+    )
 
     print(f"# sphere sizes r <= {sphere_radius}")
     print(sphere_sizes(sphere_radius))
 
-    print(f"# certify-depth n n --json, n <= {max_n}")
+    print(
+        f"# certify-depth --json: n n for n <= {max_n}, then n 2n+1 for n <= {max_failed_n}"
+    )
     for n in range(1, max_n + 1):
         print(cli(["certify-depth", str(n), str(n), "--json"]))
+    for n in range(1, max_failed_n + 1):
+        print(cli(["certify-depth", str(n), str(2 * n + 1), "--json"]))
 
     print(f"# B({ball_radius}): canonical word | witness_word | exact_distance")
     for g in ball_with_depths(ball_radius):

@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "certify-depth",
         help="prove dead-end depth > k for the n-th anchor (exit 0), or <= k (exit 1);"
-        " every neighbour is measured by its exact distance",
+        " every neighbour is proved within 6n by a replayed word, or past it",
     )
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)

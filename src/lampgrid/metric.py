@@ -11,10 +11,12 @@ g but the origin press ``a`` (length 1) has length
 :func:`halfplane_bound`\\ (g): the half-plane lemma gives the lower side,
 and :func:`witness_word`, the one witness builder, a word of that length.
 Inside H_n the bound is at most 6n, and the triple-lamp anchor g_n of
-:func:`make_gn` needs exactly 6n.  :func:`certify_depth` measures every
-neighbour of g_n within distance k with :func:`exact_distance`, so both
-of its verdicts are proofs: depth > k when all stay within 6n, depth <= k
-when one leaves.  For n <= 4 the two meet at depth(g_n) = 2n + 1.
+:func:`make_gn` needs exactly 6n.  :func:`certify_depth` bounds every
+neighbour of g_n within distance k as it searches them: below by the
+half-plane lemma, above by a replayed word, either a fresh witness or a
+replayed parent word plus one letter.  So both of its verdicts are
+proofs: depth > k when all stay within 6n, depth <= k when one leaves.
+For n <= 4 the two meet at depth(g_n) = 2n + 1.
 
 Breadth-first searches here are sequential and deterministic: given the
 same inputs they produce identical counts and certificates.
@@ -40,6 +42,7 @@ from .words import (
     Letter,
     Word,
     a_length,
+    act_runs,
     canonical_word,
     evaluate,
     format_word,
@@ -57,10 +60,21 @@ _PAIR_COST = getsizeof((0, 0))
 _SLOT_COST = getsizeof(dict.fromkeys(range(1024))) // 1024
 _INT_COST = getsizeof(2**30)
 _STATE_COST = getsizeof(identity()) + _PAIR_COST + _SLOT_COST
-# A vertex of a witness walk may carry a press: its position pair and
-# coordinates, a slot in the press set and the press-effect cache, and a
-# cache node and word run about one more pair in size.
-_VERTEX_COST = 2 * _PAIR_COST + 3 * _SLOT_COST + 2 * _INT_COST
+# A press of a witness holds its position pair and coordinates, a slot in
+# each of the three press sets of the solve and the fuser, a stop pair on
+# its leg and up to two runs; on replay a lampstand press caches its
+# one-lamp effect.
+_PRESS_COST = (
+    getsizeof(frozenset({(0, 0)})) + 4 * _PAIR_COST + 3 * _INT_COST + 4 * _SLOT_COST
+)
+# The solve keeps only its presses, but it visits every walked vertex, so a
+# walk is charged one pointer per vertex before it is walked: a walk at the
+# input limit (2^31 vertices, minutes of solving) meets the default cap at
+# once, while an anchor's walk of 6n vertices fits it for n up to 4*10^7.
+_WALK_COST = 8
+# Frames, generators, the path and the word of one witness: about 3 kB by
+# tracemalloc, rounded up.
+_SOLVE_COST = 4096
 
 
 class RadiusExceeded(RuntimeError):
@@ -295,45 +309,66 @@ def tour_lower_bound(n: int) -> int:
     return halfplane_bound(Element(frozenset({(-n, 0), (0, n), (0, -n)}), (0, 0)))
 
 
-# The 17 moves; every search step prepends one of them to a state.
+# The 17 moves; every search step prepends one of them to a state.  The
+# one-letter runs that spell them, in the same order.
 _MOVES = tuple(el for _, el in move_elements())
+_MOVE_RUNS = tuple(((letter, 1),) for letter, _ in move_elements())
+
+_IDENTITY = identity()
 
 
 class _Budget:
-    """Storage of the states one search has recorded, against a cap."""
+    """Storage of the states one search has recorded, against a cap.
 
-    def __init__(self, limit_mb: int | None, search: str):
+    ``search`` names the search in the cap error, formatted with ``args``
+    only when the cap trips.
+    """
+
+    def __init__(self, limit_mb: int | None, search: str, *args):
         # None is the module default, read now rather than at definition.
         self.limit_mb = DEFAULT_MEMORY_LIMIT_MB if limit_mb is None else limit_mb
         self.search = search
+        self.args = args
         self.left = self.limit_mb * 1024 * 1024
 
     def spend(self, size: int) -> None:
         self.left -= size
         if self.left < 0:
-            raise MemoryCapExceeded(f"{self.search} exceeds the {self.limit_mb} MiB cap")
+            raise MemoryCapExceeded(
+                f"{self.search.format(*self.args)} exceeds the {self.limit_mb} MiB cap"
+            )
 
     def charge(self, g: Element) -> None:
         self.spend(_STATE_COST + getsizeof(g.lamps) + _PAIR_COST * len(g.lamps))
 
 
 def _expand_layer(
-    frontier: list[Element], depths: dict[Element, int], layer: int, budget: _Budget
+    frontier: list[Element],
+    depths: dict[Element, int],
+    layer: int,
+    budget: _Budget,
+    origins: list[int] | None = None,
 ) -> list[Element]:
     """Next breadth-first layer: prepend every move to every frontier state.
 
     States not yet in ``depths`` are recorded there at ``layer``, charged
     to ``budget`` and returned in expansion order.  Prepending keeps the
-    product cheap, since a move has at most two lamps to re-expand.
+    product cheap, since a move has at most two lamps to re-expand.  Given
+    ``origins``, each new state also appends there where it came from:
+    ``len(_MOVES) * i + m`` for its first parent ``frontier[i]`` and the
+    move ``_MOVES[m]``, so that the state is ``_MOVES[m] * frontier[i]``.
     """
     nxt: list[Element] = []
-    for state in frontier:
-        for mv in _MOVES:
+    width = len(_MOVES)
+    for i, state in enumerate(frontier):
+        for m, mv in enumerate(_MOVES):
             child = multiply(mv, state)
             if child not in depths:
                 depths[child] = layer
                 budget.charge(child)
                 nxt.append(child)
+                if origins is not None:
+                    origins.append(width * i + m)
     return nxt
 
 
@@ -351,9 +386,9 @@ def ball_with_depths(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    budget = _Budget(memory_limit_mb, f"ball of radius {radius}")
-    depths: dict[Element, int] = {identity(): 0}
-    frontier = [identity()]
+    budget = _Budget(memory_limit_mb, "ball of radius {}", radius)
+    depths: dict[Element, int] = {_IDENTITY: 0}
+    frontier = [_IDENTITY]
     for depth in range(1, radius + 1):
         frontier = _expand_layer(frontier, depths, depth, budget)
     return depths
@@ -382,10 +417,11 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     is 0, is the one letter ``a``.  Inside H_n we have F <= n, D <= n and
     P + Q <= n (below), so ``halfplane_bound(g) <= 6n``: the paper's 6n
     upper bound follows from the formula.  The word is not replayed here;
-    :func:`exact_distance` replays it.  The walk
-    is charged to ``budget`` (default: a fresh one at
-    ``DEFAULT_MEMORY_LIMIT_MB``) before it is built, and each press effect
-    as it is computed.
+    :func:`exact_distance` replays it.  ``budget`` (default: a fresh one
+    at ``DEFAULT_MEMORY_LIMIT_MB``) is charged what the solve holds: each
+    press with its effect as it is made, and the lamps it copies.  Before
+    the walk starts it is also charged one pointer per walked vertex, since
+    the solve visits them all: a walk too long to solve fails at once.
 
     The presses are solved by back-substitution, and its order is the proof
     that they exist.  Let (-F, -D) and (P, Q) be the corners of the box.
@@ -433,7 +469,9 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     (p_lo, q_lo), (P, Q) = _box(g)
     F, D = -p_lo, -q_lo
     ep, eq = g.pos
-    budget.spend(_VERTEX_COST * (2 * (F + D + P + Q) - abs(ep) - abs(eq) + 1))
+    # The walk, and a residual slot for each lamp of g.
+    walk = 2 * (F + D + P + Q) - abs(ep) - abs(eq) + 1
+    budget.spend(_SOLVE_COST + _WALK_COST * walk + _SLOT_COST * len(g.lamps))
     if ep >= 0 and eq >= 0:
         corners = [(-F, 0), (-F, -D), (P, Q)]
         pairs = chain(
@@ -461,9 +499,12 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     for vertex, pivot in pairs:
         if pivot in residual:
             effect = press_effect(vertex)
-            budget.spend(getsizeof(effect) + (_PAIR_COST + _INT_COST) * len(effect))
+            budget.spend(
+                _PRESS_COST + getsizeof(effect) + (_PAIR_COST + _INT_COST) * len(effect)
+            )
             residual ^= effect
             presses.add(vertex)
+    budget.spend(_PRESS_COST * len(residual))
     path: list[Pos] = [(0, 0)]
     for corner in corners + [g.pos]:
         _walk_to(path, corner)
@@ -490,10 +531,10 @@ def exact_distance(
     """
     if max_r < 1:
         raise ValueError("max_r must be positive")
-    lower = max(halfplane_bound(g), int(g != identity()))
+    lower = max(halfplane_bound(g), int(g != _IDENTITY))
     if lower > max_r:
         raise RadiusExceeded(max_r, lower)
-    word = witness_word(g, _Budget(memory_limit_mb, f"distance to radius {max_r}"))
+    word = witness_word(g, _Budget(memory_limit_mb, "distance to radius {}", max_r))
     if a_length(word) != lower or evaluate(word) != g:
         raise RuntimeError(f"the witness word does not replay in {lower} letters")
     return lower
@@ -512,12 +553,12 @@ def search_distance(g: Element, max_r: int, memory_limit_mb: int | None = None) 
     when the states of both sides outgrow ``memory_limit_mb`` (default
     ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).
     """
-    budget = _Budget(memory_limit_mb, f"distance search to radius {max_r}")
-    if g == identity():
+    budget = _Budget(memory_limit_mb, "distance search to radius {}", max_r)
+    if g == _IDENTITY:
         return 0
-    dist_a: dict[Element, int] = {identity(): 0}
+    dist_a: dict[Element, int] = {_IDENTITY: 0}
     dist_b: dict[Element, int] = {g: 0}
-    frontier_a = [identity()]
+    frontier_a = [_IDENTITY]
     frontier_b = [g]
     radius_a = radius_b = 0
     while radius_a + radius_b < max_r:
@@ -544,8 +585,10 @@ class DepthCertificate:
     the anchor's dead-end depth is at least k+1.  ``verdict == "failed"``
     means: the offset b spelled by ``failure_witness``, itself within
     distance k, takes the anchor out of that ball, so its dead-end depth is
-    at most k.  ``max_witness_length`` is the longest neighbour
-    checked before the verdict.
+    at most k.  ``max_witness_length`` is the longest replayed word the
+    certifier holds for a neighbour.  It is always 6n: the neighbour b = 1
+    is the anchor itself, measured at exactly 6n, and no other bound is
+    kept past 6n, since a longer one is replaced by a fresh measurement.
     """
 
     n: int
@@ -575,10 +618,55 @@ class DepthCertificate:
                 f" dead-end depth of the anchor is at most {self.k}"
             )
         lines.append(
-            "note: every length is proved: halfplane_bound gives the lower side,"
-            " and a replayed word the upper side (make_gn's for the anchor)."
+            "note: every bound is proved: halfplane_bound gives the lower side, and"
+            " a replayed word the upper side, either a fresh witness or a neighbour's"
+            " word plus one letter (make_gn's word for the anchor)."
         )
         return "\n".join(lines)
+
+
+def _bound_layer(
+    anchor: Element,
+    radius: int,
+    parents: list[Element],
+    parent_bounds: list[int],
+    layer: list[Element],
+    origins: list[int],
+    memory_limit_mb: int | None,
+) -> Element | None:
+    """Bound |b * anchor| for each b of ``layer``, over ``origins`` in place.
+
+    ``origins`` comes from :func:`_expand_layer`: b = m * parent for a move
+    m, so b * anchor = m * (parent * anchor), spelled by the parent's word
+    with m's letter prepended.  While the parent's bound is below
+    ``radius``, b gets that bound plus one, and the extension is replayed:
+    m's letter acts on parent * anchor by :func:`act_runs` and must give
+    b * anchor, else ``RuntimeError``.  Otherwise b is measured afresh by
+    :func:`exact_distance` at ``radius``.  Returns the first b, in layer
+    order, whose translate is proved longer than ``radius``, and None when
+    there is none.
+    """
+    width = len(_MOVES)
+    last = -1
+    for c, origin in enumerate(origins):
+        i, m = divmod(origin, width)
+        b = layer[c]
+        translate = multiply(b, anchor)
+        bound = parent_bounds[i]
+        if bound < radius:
+            if i != last:
+                # Recomputed per parent, so the frontier holds no translates.
+                parent_translate = multiply(parents[i], anchor)
+                last = i
+            if act_runs(_MOVE_RUNS[m], parent_translate) != translate:
+                raise RuntimeError(f"a one-letter extension does not replay to {b}")
+            origins[c] = bound + 1
+        else:
+            try:
+                origins[c] = exact_distance(translate, radius, memory_limit_mb)
+            except RadiusExceeded:
+                return b
+    return None
 
 
 def certify_depth(
@@ -589,35 +677,51 @@ def certify_depth(
     The neighbourhood of the anchor u consists of the products u*b for b
     in the radius-k ball.  Word length is inversion-invariant and u is an
     involution, so |u*b| = |b^-1*u|, and b -> b^-1 permutes the ball; the
-    certifier therefore measures the left-translates b*u instead, each by
+    certifier therefore bounds the left-translates b*u instead, layer by
+    layer as it searches the ball.  The upper side of each bound is a
+    replayed word.  For b = 1 it is a fresh witness: :func:`exact_distance`
+    measures u at exactly 6n, which is why ``max_witness_length`` is 6n.
+    Every later b inherits its first parent's bound plus one, its word
+    extended by one letter and replayed (:func:`_bound_layer`); only where
+    that parent's bound is already 6n is b*u measured afresh by
     :func:`exact_distance` at radius 6n.  The first b, in breadth-first
     order, whose translate is longer than 6n fails the certificate; since
     :func:`exact_distance` raises on its proved lower bound, a failure
-    proves depth <= k.  That |u| = 6n is checked too: its
+    proves depth <= k.  After a failure the search only counts the rest of
+    the ball, for ``neighborhood_size``.  That |u| = 6n is checked too: its
     :func:`halfplane_bound` must be 6n and the defining word of
     :func:`make_gn` must replay in 6n letters.  ``memory_limit_mb`` caps
-    the ball and each neighbour's witness (default
-    ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).
+    the ball and each fresh witness (default ``DEFAULT_MEMORY_LIMIT_MB``,
+    read at call time).
 
     Requires n >= 1 and k >= 0.
     """
     if n < 1 or k < 0:
         raise ValueError("certify_depth requires n >= 1 and k >= 0")
     anchor, word = make_gn(n)
-    bound = 6 * n
-    if multiply(anchor, anchor) != identity() or evaluate(word) != anchor:
+    radius = 6 * n
+    if multiply(anchor, anchor) != _IDENTITY or evaluate(word) != anchor:
         raise RuntimeError("anchor is expected to be an involution spelled by its word")
-    if not halfplane_bound(anchor) == a_length(word) == bound:
+    if not halfplane_bound(anchor) == a_length(word) == radius:
         raise RuntimeError("anchor is expected to have length 6n")
-    depths = ball_with_depths(k, memory_limit_mb)
-    max_length = 0
-    for b in depths:
-        try:
-            length = exact_distance(multiply(b, anchor), bound, memory_limit_mb)
-        except RadiusExceeded:
-            return DepthCertificate(
-                n, k, bound, len(depths), max_length, "failed",
-                format_word(canonical_word(b)),
-            )
-        max_length = max(max_length, length)
-    return DepthCertificate(n, k, bound, len(depths), max_length, "certified", None)
+    budget = _Budget(memory_limit_mb, "ball of radius {}", k)
+    depths: dict[Element, int] = {_IDENTITY: 0}
+    frontier = [_IDENTITY]
+    longest = exact_distance(anchor, radius, memory_limit_mb)
+    bounds = [longest]
+    failure = None
+    for depth in range(1, k + 1):
+        if failure is not None:
+            frontier = _expand_layer(frontier, depths, depth, budget)
+            continue
+        origins: list[int] = []
+        layer = _expand_layer(frontier, depths, depth, budget, origins)
+        failure = _bound_layer(
+            anchor, radius, frontier, bounds, layer, origins, memory_limit_mb
+        )
+        frontier, bounds = layer, origins
+    if failure is None:
+        return DepthCertificate(n, k, radius, len(depths), longest, "certified", None)
+    return DepthCertificate(
+        n, k, radius, len(depths), longest, "failed", format_word(canonical_word(failure))
+    )

@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 from .core import (
     COORD_LIMIT,
+    PRESS_LAMP_LIMIT,
     Element,
     Pos,
     identity,
@@ -201,14 +202,36 @@ ACTIONS: dict[Letter, tuple[bool, Pos, bool]] = {
 }
 
 
+def _line_presses(start: Pos, step: Pos, count: int) -> tuple[Pos, Pos]:
+    """Two presses equal to pressing at ``start`` and ``count - 1`` more steps on.
+
+    By the split relation (:func:`press_effect`), along t
+    effect(p, q) = effect(p-1, q) xor effect(p-1, q+1) and along s
+    effect(p, q) = effect(p+1, q-1) xor effect(p, q-1), so the presses on a
+    segment telescope to the two just outside its ends, shifted off the line.
+    """
+    (p, q), (dp, dq) = start, step
+    if dp + dq < 0:
+        p, q = p + (count - 1) * dp, q + (count - 1) * dq
+    if dp:
+        return (p, q - 1), (p + count, q - 1)
+    return (p - 1, q), (p - 1, q + count)
+
+
 def act_runs(runs, state: Element) -> Element:
     """Act on ``state`` by written runs of either alphabet, rightmost first.
 
     A run that presses nothing moves by its count times its step at once.
     A run of ``a`` (or ``a^-1``) presses once if its count is odd, since a
     press is an involution, and not at all if it is even.  Any other run
-    acts letter by letter.  The runs are folded on one mutable lamp set and
-    position; ``state`` itself is left as it was.
+    acts letter by letter, unless it has more than ``PRESS_LAMP_LIMIT``
+    letters: then its presses collapse to two.  A run pressing on both
+    sides of each step (``ata``, ``asa`` and inverses) presses every inner
+    vertex twice, so only its two ends; a one-sided run presses a segment,
+    which :func:`_line_presses` telescopes.  ``ValueError`` names the run
+    when one of those two presses is over the lamp limit.  The runs are
+    folded on one mutable lamp set and position; ``state`` itself is left
+    as it was.
     """
     lamps = set(state.lamps)
     p, q = state.pos
@@ -220,6 +243,22 @@ def act_runs(runs, state: Element) -> Element:
         elif not (dp or dq):
             if count & 1:
                 lamps ^= press_effect((p, q))
+        elif count > PRESS_LAMP_LIMIT:
+            end = (p + count * dp, q + count * dq)
+            if before and after:
+                presses = (p, q), end
+            else:
+                first = (p, q) if before else (p + dp, q + dq)
+                presses = _line_presses(first, (dp, dq), count)
+            try:
+                for pos in presses:
+                    lamps ^= press_effect(pos)
+            except ValueError as exc:
+                raise ValueError(
+                    f"run {letter.base}^{letter.sign * count} is pressed as {presses[0]}"
+                    f" and {presses[1]}: {exc}"
+                ) from None
+            p, q = end
         else:
             while count:
                 if before:

@@ -17,6 +17,7 @@ from lampgrid import (
     RadiusExceeded,
     a_length,
     ball_with_depths,
+    canonical_word,
     certify_depth,
     evaluate,
     exact_distance,
@@ -310,6 +311,15 @@ class TestExactDistance:
             exact_distance(make_gn(1)[0], 6, memory_limit_mb=0)
         assert exact_distance(make_gn(1)[0], 6, memory_limit_mb=1) == 6
 
+    def test_cap_error_names_the_search(self):
+        with pytest.raises(MemoryCapExceeded, match="^distance to radius 6 exceeds the 0 MiB cap$"):
+            exact_distance(make_gn(1)[0], 6, memory_limit_mb=0)
+
+    def test_long_walk_is_charged_by_its_presses(self):
+        # A walk of 600,001 vertices with six presses fits 16 MiB.
+        anchor, _ = make_gn(10**5)
+        assert exact_distance(anchor, 6 * 10**5, memory_limit_mb=16) == 6 * 10**5
+
     def test_tour_answers_without_search(self, monkeypatch):
         depths = ball_with_depths(7)
         monkeypatch.setattr(metric, "_expand_layer", no_search)
@@ -562,6 +572,51 @@ class TestCertifyDepth:
         # B(0) stores no state, so only the anchor's own witness can trip it.
         with pytest.raises(MemoryCapExceeded):
             certify_depth(1, 0, memory_limit_mb=0)
+
+    @pytest.mark.parametrize(
+        "n, ks",
+        [(1, range(4)), (2, range(6)), (3, range(8)), (4, [4])],
+        ids=["g1-k0to3", "g2-k0to5", "g3-k0to7", "g4-k4"],
+    )
+    def test_matches_a_fresh_witness_for_every_neighbour(self, n, ks):
+        # The route before upper bounds were carried along the search:
+        # exact_distance of every b * anchor, over the ball in its order.
+        anchor, _ = make_gn(n)
+        ball = ball_with_depths(max(ks))
+        lengths = {}
+        for b in ball:
+            try:
+                lengths[b] = exact_distance(multiply(b, anchor), 6 * n)
+            except RadiusExceeded:
+                lengths[b] = None
+        for k in ks:
+            inside = [b for b, depth in ball.items() if depth <= k]
+            escaped = [b for b in inside if lengths[b] is None]
+            checked = inside[: inside.index(escaped[0])] if escaped else inside
+            expected = metric.DepthCertificate(
+                n, k, 6 * n, len(inside), max(lengths[b] for b in checked),
+                "failed" if escaped else "certified",
+                format_word(canonical_word(escaped[0])) if escaped else None,
+            )
+            assert certify_depth(n, k) == expected, (n, k)
+
+    def test_an_extension_that_does_not_replay_is_refused(self, monkeypatch):
+        # Skipping the letter leaves the parent's translate, never b's.
+        monkeypatch.setattr(metric, "act_runs", lambda runs, state: state)
+        with pytest.raises(RuntimeError, match="does not replay"):
+            certify_depth(1, 2)
+
+    def test_fresh_witnesses_only_past_a_parent_at_6n(self, monkeypatch):
+        calls = []
+        measure = metric.exact_distance
+
+        def counted(*args):
+            calls.append(args)
+            return measure(*args)
+
+        monkeypatch.setattr(metric, "exact_distance", counted)
+        assert certify_depth(5, 5).neighborhood_size == 3050
+        assert len(calls) <= 602
 
     @pytest.mark.parametrize(
         "n, inside, outside", [(1, 88, 328), (2, 1050, 3050), (3, 8284, 21420)]

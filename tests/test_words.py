@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from lampgrid import (
     multiply,
     parse,
     random_element,
+    words,
 )
 from lampgrid.core import press_effect
 from lampgrid.words import (
@@ -183,6 +185,13 @@ class TestRunFold:
     def test_format_round_trip(self, word):
         assert parse(format_word(word), word.alphabet) == word
 
+    @given(run_words(), elements(max_n=6), st.integers(0, 5))
+    def test_long_pressing_runs_collapse_to_the_letter_fold(self, word, state, limit):
+        # With the limit this low, most pressing runs take the two-press route.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(words, "PRESS_LAMP_LIMIT", limit)
+            assert act_runs(word.runs, state) == fold_letters(word.letters, state)
+
 
 def cli(*argv):
     src = str(Path(lampgrid.__file__).resolve().parents[1])
@@ -221,6 +230,21 @@ class TestExtremeExponents:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert f"toggles {lamps} lamps" in proc.stderr
+        assert seconds < 1.0
+
+    def test_long_pressing_run_answers_at_once(self):
+        # 3,000,000 presses along the s-axis telescope to two.
+        proc, seconds = cli("eval", "sa^3000000", "--alphabet", "metric", "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["pos"] == [3000000, 0]
+        assert seconds < 1.0
+
+    def test_long_pressing_run_over_the_limit_names_the_run(self):
+        # Its presses collapse to (-1, 1) and (-1, 2^31), which toggles 2^31 + 1 lamps.
+        proc, seconds = cli("eval", "at^2147483647", "--alphabet", "metric")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "run at^2147483647" in proc.stderr
+        assert "toggles 2147483649 lamps" in proc.stderr
         assert seconds < 1.0
 
 
