@@ -316,7 +316,7 @@ class TestExactDistance:
             exact_distance(make_gn(1)[0], 6, memory_limit_mb=0)
 
     def test_long_walk_is_charged_by_its_presses(self):
-        # A walk of 600,001 vertices with six presses fits 16 MiB.
+        # A walk of 600,001 vertices with three presses fits 16 MiB.
         anchor, _ = make_gn(10**5)
         assert exact_distance(anchor, 6 * 10**5, memory_limit_mb=16) == 6 * 10**5
 
