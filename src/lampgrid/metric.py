@@ -24,6 +24,7 @@ same inputs they produce identical counts and certificates.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from itertools import chain
 from sys import getsizeof
@@ -318,25 +319,18 @@ _IDENTITY = identity()
 
 
 class _Budget:
-    """Storage of the states one search has recorded, against a cap.
+    """Storage of the states one search has recorded, against a cap."""
 
-    ``search`` names the search in the cap error, formatted with ``args``
-    only when the cap trips.
-    """
-
-    def __init__(self, limit_mb: int | None, search: str, *args):
+    def __init__(self, limit_mb: int | None, search: str):
         # None is the module default, read now rather than at definition.
         self.limit_mb = DEFAULT_MEMORY_LIMIT_MB if limit_mb is None else limit_mb
         self.search = search
-        self.args = args
         self.left = self.limit_mb * 1024 * 1024
 
     def spend(self, size: int) -> None:
         self.left -= size
         if self.left < 0:
-            raise MemoryCapExceeded(
-                f"{self.search.format(*self.args)} exceeds the {self.limit_mb} MiB cap"
-            )
+            raise MemoryCapExceeded(f"{self.search} exceeds the {self.limit_mb} MiB cap")
 
     def charge(self, g: Element) -> None:
         self.spend(_STATE_COST + getsizeof(g.lamps) + _PAIR_COST * len(g.lamps))
@@ -373,7 +367,9 @@ def _expand_layer(
 
 
 def ball_with_depths(
-    radius: int, memory_limit_mb: int | None = None
+    radius: int,
+    memory_limit_mb: int | None = None,
+    on_layer: Callable[[list[Element], list[Element], list[int]], bool] | None = None,
 ) -> dict[Element, int]:
     """All elements of word length at most ``radius``, mapped to their length.
 
@@ -382,15 +378,21 @@ def ball_with_depths(
     order is fixed, so the mapping (and its iteration order) is
     deterministic.  Raises :class:`MemoryCapExceeded` when the stored
     states outgrow ``memory_limit_mb`` (default ``DEFAULT_MEMORY_LIMIT_MB``,
-    read at call time).
+    read at call time).  Given ``on_layer``, each new layer is passed to
+    it as ``on_layer(frontier, layer, origins)``, with the origins of
+    :func:`_expand_layer`, until it returns False.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    budget = _Budget(memory_limit_mb, "ball of radius {}", radius)
+    budget = _Budget(memory_limit_mb, f"ball of radius {radius}")
     depths: dict[Element, int] = {_IDENTITY: 0}
     frontier = [_IDENTITY]
     for depth in range(1, radius + 1):
-        frontier = _expand_layer(frontier, depths, depth, budget)
+        origins = None if on_layer is None else []
+        layer = _expand_layer(frontier, depths, depth, budget, origins)
+        if on_layer is not None and not on_layer(frontier, layer, origins):
+            on_layer = None
+        frontier = layer
     return depths
 
 
@@ -534,7 +536,7 @@ def exact_distance(
     lower = max(halfplane_bound(g), int(g != _IDENTITY))
     if lower > max_r:
         raise RadiusExceeded(max_r, lower)
-    word = witness_word(g, _Budget(memory_limit_mb, "distance to radius {}", max_r))
+    word = witness_word(g, _Budget(memory_limit_mb, f"distance to radius {max_r}"))
     if a_length(word) != lower or evaluate(word) != g:
         raise RuntimeError(f"the witness word does not replay in {lower} letters")
     return lower
@@ -553,7 +555,7 @@ def search_distance(g: Element, max_r: int, memory_limit_mb: int | None = None) 
     when the states of both sides outgrow ``memory_limit_mb`` (default
     ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).
     """
-    budget = _Budget(memory_limit_mb, "distance search to radius {}", max_r)
+    budget = _Budget(memory_limit_mb, f"distance search to radius {max_r}")
     if g == _IDENTITY:
         return 0
     dist_a: dict[Element, int] = {_IDENTITY: 0}
@@ -633,8 +635,8 @@ def _bound_layer(
     layer: list[Element],
     origins: list[int],
     memory_limit_mb: int | None,
-) -> Element | None:
-    """Bound |b * anchor| for each b of ``layer``, over ``origins`` in place.
+) -> tuple[Element | None, list[int]]:
+    """Upper bounds on |b * anchor| for the b of ``layer``, in its order.
 
     ``origins`` comes from :func:`_expand_layer`: b = m * parent for a move
     m, so b * anchor = m * (parent * anchor), spelled by the parent's word
@@ -642,15 +644,15 @@ def _bound_layer(
     ``radius``, b gets that bound plus one, and the extension is replayed:
     m's letter acts on parent * anchor by :func:`act_runs` and must give
     b * anchor, else ``RuntimeError``.  Otherwise b is measured afresh by
-    :func:`exact_distance` at ``radius``.  Returns the first b, in layer
-    order, whose translate is proved longer than ``radius``, and None when
-    there is none.
+    :func:`exact_distance` at ``radius``.  Returns the bounds, and the
+    first b, in layer order, whose translate is proved longer than
+    ``radius`` (bounding stops there), or None when there is none.
     """
     width = len(_MOVES)
+    bounds: list[int] = []
     last = -1
-    for c, origin in enumerate(origins):
+    for b, origin in zip(layer, origins):
         i, m = divmod(origin, width)
-        b = layer[c]
         translate = multiply(b, anchor)
         bound = parent_bounds[i]
         if bound < radius:
@@ -660,13 +662,13 @@ def _bound_layer(
                 last = i
             if act_runs(_MOVE_RUNS[m], parent_translate) != translate:
                 raise RuntimeError(f"a one-letter extension does not replay to {b}")
-            origins[c] = bound + 1
+            bounds.append(bound + 1)
         else:
             try:
-                origins[c] = exact_distance(translate, radius, memory_limit_mb)
+                bounds.append(exact_distance(translate, radius, memory_limit_mb))
             except RadiusExceeded:
-                return b
-    return None
+                return b, bounds
+    return None, bounds
 
 
 def certify_depth(
@@ -678,7 +680,7 @@ def certify_depth(
     in the radius-k ball.  Word length is inversion-invariant and u is an
     involution, so |u*b| = |b^-1*u|, and b -> b^-1 permutes the ball; the
     certifier therefore bounds the left-translates b*u instead, layer by
-    layer as it searches the ball.  The upper side of each bound is a
+    layer as :func:`ball_with_depths` searches the ball.  The upper side of each bound is a
     replayed word.  For b = 1 it is a fresh witness: :func:`exact_distance`
     measures u at exactly 6n, which is why ``max_witness_length`` is 6n.
     Every later b inherits its first parent's bound plus one, its word
@@ -704,24 +706,20 @@ def certify_depth(
         raise RuntimeError("anchor is expected to be an involution spelled by its word")
     if not halfplane_bound(anchor) == a_length(word) == radius:
         raise RuntimeError("anchor is expected to have length 6n")
-    budget = _Budget(memory_limit_mb, "ball of radius {}", k)
-    depths: dict[Element, int] = {_IDENTITY: 0}
-    frontier = [_IDENTITY]
     longest = exact_distance(anchor, radius, memory_limit_mb)
     bounds = [longest]
     failure = None
-    for depth in range(1, k + 1):
-        if failure is not None:
-            frontier = _expand_layer(frontier, depths, depth, budget)
-            continue
-        origins: list[int] = []
-        layer = _expand_layer(frontier, depths, depth, budget, origins)
-        failure = _bound_layer(
+
+    def bound_layer(frontier, layer, origins) -> bool:
+        nonlocal bounds, failure
+        failure, bounds = _bound_layer(
             anchor, radius, frontier, bounds, layer, origins, memory_limit_mb
         )
-        frontier, bounds = layer, origins
+        return failure is None
+
+    size = len(ball_with_depths(k, memory_limit_mb, bound_layer))
     if failure is None:
-        return DepthCertificate(n, k, radius, len(depths), longest, "certified", None)
+        return DepthCertificate(n, k, radius, size, longest, "certified", None)
     return DepthCertificate(
-        n, k, radius, len(depths), longest, "failed", format_word(canonical_word(failure))
+        n, k, radius, size, longest, "failed", format_word(canonical_word(failure))
     )

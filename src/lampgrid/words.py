@@ -18,7 +18,8 @@ every count is at least 1.  Equal letter sequences therefore give equal
 words, and ``s^k`` costs O(1) however large k is.  :func:`act_runs`, the
 one word evaluator, folds the runs: a run that presses nothing moves by
 its count at once, ``a^k`` presses once when k is odd and not at all when
-it is even, and any other run acts letter by letter.
+it is even, ``ata^k`` and ``asa^k`` press at their two ends, and any other
+run presses a segment of its line, as one closed form when it is long.
 
 Inverses are free: moves are drawn from A together with the inverses of
 its letters.  Since ``a`` is an involution this gives 17 distinct moves,
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,6 +41,7 @@ from .core import (
     Pos,
     identity,
     press_effect,
+    press_size,
 )
 
 PRESENTATION = "presentation"
@@ -202,20 +205,81 @@ ACTIONS: dict[Letter, tuple[bool, Pos, bool]] = {
 }
 
 
-def _line_presses(start: Pos, step: Pos, count: int) -> tuple[Pos, Pos]:
-    """Two presses equal to pressing at ``start`` and ``count - 1`` more steps on.
+# A run pressing along a line with more letters than this is pressed as one
+# :func:`_segment_effect`.  Below it, one-letter presses (cached, under a
+# microsecond each) are cheaper than the segment's two presses, sort and
+# division: the two cross at 24 to 32 letters.  The hexagon benchmark's
+# witnesses press in runs of at most 27 letters (seeds 1 to 5).
+LONG_RUN = 32
 
-    By the split relation (:func:`press_effect`), along t
-    effect(p, q) = effect(p-1, q) xor effect(p-1, q+1) and along s
-    effect(p, q) = effect(p+1, q-1) xor effect(p, q-1), so the presses on a
-    segment telescope to the two just outside its ends, shifted off the line.
+# A run's net effect is refused when it toggles more lamps than this, twice
+# what one press may toggle.
+RUN_LAMP_LIMIT = 2 * PRESS_LAMP_LIMIT
+
+
+def _segment_effect(start: Pos, step: Pos, count: int) -> set[Pos]:
+    """Lamps toggled by pressing at ``start`` and ``count - 1`` more steps on.
+
+    A press at (p, q) is x^q (1+x)^p (:func:`press_effect`), and a step
+    multiplies it by d = x along t and by d = 1+x along s.  So with e the
+    press at the segment's lower end and f the press one step past its
+    upper end, the presses sum to (e + f) / d; with f the last press of
+    the segment instead, to (e + f) / d + f.  Whichever f has fewer lamps
+    (:func:`press_size`) is used.  The division is read off the sorted
+    lamps of e + f as intervals of the lampstand, so the cost is that of
+    the two presses and of the lamps returned: a long segment of one-lamp
+    presses on the lampstand never builds the large effects of presses
+    just off it.  ``ValueError`` when a press it uses is over
+    ``PRESS_LAMP_LIMIT``, which happens only when one of the segment's own
+    presses is, or when the segment toggles more than ``RUN_LAMP_LIMIT``
+    lamps.
     """
     (p, q), (dp, dq) = start, step
     if dp + dq < 0:
         p, q = p + (count - 1) * dp, q + (count - 1) * dq
-    if dp:
-        return (p, q - 1), (p + count, q - 1)
-    return (p - 1, q), (p - 1, q + count)
+    dp, dq = abs(dp), abs(dq)
+    past = (p + count * dp, q + count * dq)
+    last = (past[0] - dp, past[1] - dq)
+    if press_size(past) < press_size(last):
+        singles = set()
+        ends = press_effect((p, q)) ^ press_effect(past)
+    else:
+        singles = set(press_effect(last))
+        ends = press_effect((p, q)) ^ singles
+    # Lit lamps as half-open intervals [lo, hi) of t-axis offsets j, lamp
+    # (0, j), and of s-axis coordinates i < 0, lamp (i, 0).
+    t_axis = sorted(j for i, j in ends if i == 0)
+    s_axis = sorted(i for i, _ in ends if i < 0)
+    if dq:
+        # Over 1 + x: (1+x)^i becomes (1+x)^(i-1); a Laurent polynomial with
+        # an odd number of terms leaves (1+x)^-1 over, and the rest is
+        # x^a + x^b + ... = (1+x) (x^a + ... + x^(b-1)) + ....
+        singles ^= {(i - 1, 0) for i in s_axis}
+        if len(t_axis) & 1:
+            t_axis = sorted(set(t_axis) ^ {0})
+            singles ^= {(-1, 0)}
+        s_axis = []
+    else:
+        # Over x: x^j becomes x^(j-1), and (1+x)^-k becomes
+        # (1+x)^-k + ... + (1+x)^-1 + x^-1, so s-axis lamp i is lit when an
+        # odd number of the lamps of e + f lie at i or below.
+        singles ^= {(0, j - 1) for j in t_axis}
+        if len(s_axis) & 1:
+            singles ^= {(0, -1)}
+            s_axis.append(0)
+        t_axis = []
+    size = len(singles) + sum(t_axis[1::2]) - sum(t_axis[::2])
+    size += sum(s_axis[1::2]) - sum(s_axis[::2])
+    for i, j in singles:
+        if bisect_right(t_axis, j) & 1 if i == 0 else bisect_right(s_axis, i) & 1:
+            size -= 2
+    if size > RUN_LAMP_LIMIT:
+        raise ValueError(f"toggles {size} lamps, over the limit of {RUN_LAMP_LIMIT}")
+    for lo, hi in zip(t_axis[::2], t_axis[1::2]):
+        singles.symmetric_difference_update([(0, j) for j in range(lo, hi)])
+    for lo, hi in zip(s_axis[::2], s_axis[1::2]):
+        singles.symmetric_difference_update([(i, 0) for i in range(lo, hi)])
+    return singles
 
 
 def act_runs(runs, state: Element) -> Element:
@@ -223,15 +287,13 @@ def act_runs(runs, state: Element) -> Element:
 
     A run that presses nothing moves by its count times its step at once.
     A run of ``a`` (or ``a^-1``) presses once if its count is odd, since a
-    press is an involution, and not at all if it is even.  Any other run
-    acts letter by letter, unless it has more than ``PRESS_LAMP_LIMIT``
-    letters: then its presses collapse to two.  A run pressing on both
-    sides of each step (``ata``, ``asa`` and inverses) presses every inner
-    vertex twice, so only its two ends; a one-sided run presses a segment,
-    which :func:`_line_presses` telescopes.  ``ValueError`` names the run
-    when one of those two presses is over the lamp limit.  The runs are
-    folded on one mutable lamp set and position; ``state`` itself is left
-    as it was.
+    press is an involution, and not at all if it is even.  A run pressing
+    on both sides of each step (``ata``, ``asa`` and inverses) presses
+    every inner vertex twice, so only its two ends.  Any other run presses
+    a segment of its line: letter by letter, or, past ``LONG_RUN``
+    letters, as one :func:`_segment_effect`, whose ``ValueError`` names the
+    run.  The runs are folded on one mutable lamp set and position;
+    ``state`` itself is left as it was.
     """
     lamps = set(state.lamps)
     p, q = state.pos
@@ -240,34 +302,34 @@ def act_runs(runs, state: Element) -> Element:
         if not (before or after):
             p += count * dp
             q += count * dq
-        elif not (dp or dq):
+            continue
+        if not (dp or dq):
             if count & 1:
                 lamps ^= press_effect((p, q))
-        elif count > PRESS_LAMP_LIMIT:
-            end = (p + count * dp, q + count * dq)
-            if before and after:
-                presses = (p, q), end
-            else:
-                first = (p, q) if before else (p + dp, q + dq)
-                presses = _line_presses(first, (dp, dq), count)
+            continue
+        if before and after:
+            lamps ^= press_effect((p, q))
+            p += count * dp
+            q += count * dq
+            lamps ^= press_effect((p, q))
+            continue
+        if count > LONG_RUN:
+            first = (p, q) if before else (p + dp, q + dq)
             try:
-                for pos in presses:
-                    lamps ^= press_effect(pos)
+                lamps ^= _segment_effect(first, (dp, dq), count)
             except ValueError as exc:
-                raise ValueError(
-                    f"run {letter.base}^{letter.sign * count} is pressed as {presses[0]}"
-                    f" and {presses[1]}: {exc}"
-                ) from None
-            p, q = end
-        else:
-            while count:
-                if before:
-                    lamps ^= press_effect((p, q))
-                p += dp
-                q += dq
-                if after:
-                    lamps ^= press_effect((p, q))
-                count -= 1
+                raise ValueError(f"run {letter.base}^{letter.sign * count}: {exc}") from None
+            p += count * dp
+            q += count * dq
+            continue
+        while count:
+            if before:
+                lamps ^= press_effect((p, q))
+            p += dp
+            q += dq
+            if after:
+                lamps ^= press_effect((p, q))
+            count -= 1
     return Element(frozenset(lamps), (p, q))
 
 

@@ -33,6 +33,7 @@ from lampgrid import (
     random_element,
     words,
 )
+from lampgrid import core
 from lampgrid.core import press_effect
 from lampgrid.words import (
     ACTIONS,
@@ -186,11 +187,41 @@ class TestRunFold:
         assert parse(format_word(word), word.alphabet) == word
 
     @given(run_words(), elements(max_n=6), st.integers(0, 5))
-    def test_long_pressing_runs_collapse_to_the_letter_fold(self, word, state, limit):
-        # With the limit this low, most pressing runs take the two-press route.
+    def test_segment_route_matches_the_letter_fold(self, word, state, long_run):
+        # With the threshold this low, most pressing runs take the segment route.
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(words, "PRESS_LAMP_LIMIT", limit)
+            patch.setattr(words, "LONG_RUN", long_run)
             assert act_runs(word.runs, state) == fold_letters(word.letters, state)
+
+    @given(run_words(), elements(max_n=6), st.integers(0, 5), st.integers(4, 40))
+    def test_segment_route_evaluates_what_the_letter_fold_does(
+        self, word, state, long_run, press_limit
+    ):
+        # With the press limit low too, a word the fold evaluates without a
+        # refused press gives the same element.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "PRESS_LAMP_LIMIT", press_limit)
+            press_effect.cache_clear()
+            try:
+                expected = fold_letters(word.letters, state)
+            except ValueError:
+                return
+            finally:
+                press_effect.cache_clear()
+            patch.setattr(words, "LONG_RUN", long_run)
+            assert act_runs(word.runs, state) == expected
+
+    def test_segment_over_the_run_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(words, "LONG_RUN", 0)
+        monkeypatch.setattr(words, "RUN_LAMP_LIMIT", 6)
+        word = parse("s^-1 at^6 ta^7", METRIC)
+        with pytest.raises(ValueError, match=r"run ta\^7: toggles 7 lamps, over the limit of 6"):
+            evaluate(word)
+        assert evaluate(parse("at^-6 at^6", METRIC)) == identity()
+
+    def test_long_lampstand_runs_cancel(self):
+        # Each run toggles 2^20 + 1 one-lamp presses on the t-axis.
+        assert evaluate(parse("at^1048577 at^-1048577", METRIC)) == identity()
 
 
 def cli(*argv):
@@ -232,19 +263,25 @@ class TestExtremeExponents:
         assert f"toggles {lamps} lamps" in proc.stderr
         assert seconds < 1.0
 
-    def test_long_pressing_run_answers_at_once(self):
-        # 3,000,000 presses along the s-axis telescope to two.
-        proc, seconds = cli("eval", "sa^3000000", "--alphabet", "metric", "--json")
+    # The presses at p < 2^20 on the s-axis toggle 3^20 lamps one by one;
+    # as a segment they leave (0, 2^20 - 1).
+    @pytest.mark.parametrize("count", [2**20, 3000000])
+    def test_long_pressing_run_answers_at_once(self, count):
+        proc, seconds = cli("eval", f"sa^{count}", "--alphabet", "metric", "--json")
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["pos"] == [3000000, 0]
+        assert json.loads(proc.stdout)["pos"] == [count, 0]
         assert seconds < 1.0
 
+    def test_sa_segment_to_a_power_of_two(self):
+        assert evaluate(parse("sa^1048576", METRIC)) == Element(
+            frozenset({(0, 2**20 - 1)}), (2**20, 0)
+        )
+
     def test_long_pressing_run_over_the_limit_names_the_run(self):
-        # Its presses collapse to (-1, 1) and (-1, 2^31), which toggles 2^31 + 1 lamps.
+        # It lights the t-axis lamps 1 .. 2^31 - 1.
         proc, seconds = cli("eval", "at^2147483647", "--alphabet", "metric")
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert "run at^2147483647" in proc.stderr
-        assert "toggles 2147483649 lamps" in proc.stderr
+        assert "run at^2147483647: toggles 2147483647 lamps" in proc.stderr
         assert seconds < 1.0
 
 
