@@ -23,8 +23,8 @@ entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 Pos = tuple[int, int]
 LampSet = frozenset[Pos]
@@ -138,13 +138,15 @@ def press_effect(pos: Pos) -> LampSet:
     return frozenset(lamps)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """A group element, stored as its action on the empty state.
 
     ``lamps`` is the configuration left lit and ``pos`` the lamplighter's
     final position after acting on (no lamps, origin).  Regularity of the
-    action makes this pair a faithful normal form.
+    action makes this pair a faithful normal form.  It is a named tuple, so
+    hashing and equality, which every search does for each state it meets,
+    run in C, and it is immutable and hashable like the lamp set and the
+    position it holds.
     """
 
     lamps: LampSet

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from functools import reduce
 from itertools import chain
+from operator import xor
 from sys import getsizeof
 
 from .core import (
@@ -54,9 +56,11 @@ from .words import (
 DEFAULT_MEMORY_LIMIT_MB = 2048
 
 # Bytes one recorded search state holds, by sys.getsizeof on the running
-# interpreter: its Element, its position pair and its slot in the depth
-# table; each charge adds the lamp frozenset and one pair per lamp.  States
-# share some lamp pairs, so the charge errs high rather than low.
+# interpreter: its Element, a tuple that getsizeof counts whole, its
+# position pair and its slot in the depth table; each charge adds the lamp
+# frozenset and one pair per lamp.  States share some lamp pairs, and a
+# child that a move only steps shares its parent's lamp set, so the charge
+# errs high rather than low.
 _PAIR_COST = getsizeof((0, 0))
 _SLOT_COST = getsizeof(dict.fromkeys(range(1024))) // 1024
 _INT_COST = getsizeof(2**30)
@@ -315,6 +319,17 @@ def tour_lower_bound(n: int) -> int:
 _MOVES = tuple(el for _, el in move_elements())
 _MOVE_RUNS = tuple(((letter, 1),) for letter, _ in move_elements())
 
+# Prepending a move re-presses each of its lamps at the state's position,
+# as `multiply` does, and the moves light lamps at only four offsets from
+# the origin, _OFFSETS.  So a state's children need at most four press
+# effects.  _TOGGLES holds each distinct nonempty lamp set of a move, as
+# indices into _OFFSETS, and _STEPS each move's step with the index of its
+# lamp set in _TOGGLES, or -1 if it lights none.
+_OFFSETS = tuple(sorted({lamp for mv in _MOVES for lamp in mv.lamps}))
+_LAMP_SETS = list(dict.fromkeys(mv.lamps for mv in _MOVES if mv.lamps))
+_TOGGLES = tuple(tuple(map(_OFFSETS.index, lamps)) for lamps in _LAMP_SETS)
+_STEPS = tuple((mv.pos, _LAMP_SETS.index(mv.lamps) if mv.lamps else -1) for mv in _MOVES)
+
 _IDENTITY = identity()
 
 
@@ -346,17 +361,24 @@ def _expand_layer(
     """Next breadth-first layer: prepend every move to every frontier state.
 
     States not yet in ``depths`` are recorded there at ``layer``, charged
-    to ``budget`` and returned in expansion order.  Prepending keeps the
-    product cheap, since a move has at most two lamps to re-expand.  Given
-    ``origins``, each new state also appends there where it came from:
-    ``len(_MOVES) * i + m`` for its first parent ``frontier[i]`` and the
-    move ``_MOVES[m]``, so that the state is ``_MOVES[m] * frontier[i]``.
+    to ``budget`` and returned in expansion order.  The children of a state
+    are ``multiply(mv, state)`` for the moves ``mv`` of ``_MOVES``, in that
+    order, built from one lookup of each press effect they share: the
+    effects at the state's position plus each of ``_OFFSETS``, XORed into
+    the state's lamps once per set of ``_TOGGLES``, and paired with each
+    move's step by ``_STEPS``.  Given ``origins``, each new state also appends
+    there where it came from: ``len(_MOVES) * i + m`` for its first parent
+    ``frontier[i]`` and the move ``_MOVES[m]``, so that the state is
+    ``_MOVES[m] * frontier[i]``.
     """
     nxt: list[Element] = []
     width = len(_MOVES)
-    for i, state in enumerate(frontier):
-        for m, mv in enumerate(_MOVES):
-            child = multiply(mv, state)
+    for i, (lamps, (p, q)) in enumerate(frontier):
+        effects = [press_effect((p + dp, q + dq)) for dp, dq in _OFFSETS]
+        lit = [lamps ^ reduce(xor, [effects[j] for j in toggle]) for toggle in _TOGGLES]
+        lit.append(lamps)
+        for m, ((dp, dq), toggle) in enumerate(_STEPS):
+            child = Element(lit[toggle], (p + dp, q + dq))
             if child not in depths:
                 depths[child] = layer
                 budget.charge(child)
@@ -526,17 +548,21 @@ def exact_distance(
     exceeds ``max_r``; the exception carries the radius and the length as
     a lower bound, not a number.  Raises :class:`MemoryCapExceeded` when
     the witness walk outgrows ``memory_limit_mb`` (default
-    ``DEFAULT_MEMORY_LIMIT_MB``, read at call time), and ``RuntimeError``
-    if the witness fails to replay at that length, which would refute the
-    proof in :func:`witness_word`.  :func:`search_distance` is the
-    independent oracle.
+    ``DEFAULT_MEMORY_LIMIT_MB``, read at call time), its message stating
+    the same proved lower bound, and ``RuntimeError`` if the witness fails
+    to replay at that length, which would refute the proof in
+    :func:`witness_word`.  :func:`search_distance` is the independent
+    oracle.
     """
     if max_r < 1:
         raise ValueError("max_r must be positive")
     lower = max(halfplane_bound(g), int(g != _IDENTITY))
     if lower > max_r:
         raise RadiusExceeded(max_r, lower)
-    word = witness_word(g, _Budget(memory_limit_mb, f"distance to radius {max_r}"))
+    try:
+        word = witness_word(g, _Budget(memory_limit_mb, f"distance to radius {max_r}"))
+    except MemoryCapExceeded as exc:
+        raise MemoryCapExceeded(f"{exc}; it is at least {lower}") from None
     if a_length(word) != lower or evaluate(word) != g:
         raise RuntimeError(f"the witness word does not replay in {lower} letters")
     return lower
@@ -589,8 +615,10 @@ class DepthCertificate:
     distance k, takes the anchor out of that ball, so its dead-end depth is
     at most k.  ``max_witness_length`` is the longest replayed word the
     certifier holds for a neighbour.  It is always 6n: the neighbour b = 1
-    is the anchor itself, measured at exactly 6n, and no other bound is
-    kept past 6n, since a longer one is replaced by a fresh measurement.
+    is the anchor itself, measured at exactly 6n, and no bound is kept past
+    6n.  A neighbour inherits its parent's bound plus one only below 6n; a
+    parent whose bound has reached 6n is measured once, and only the
+    children of one whose length is exactly 6n are measured afresh.
     """
 
     n: int
@@ -640,13 +668,17 @@ def _bound_layer(
 
     ``origins`` comes from :func:`_expand_layer`: b = m * parent for a move
     m, so b * anchor = m * (parent * anchor), spelled by the parent's word
-    with m's letter prepended.  While the parent's bound is below
-    ``radius``, b gets that bound plus one, and the extension is replayed:
-    m's letter acts on parent * anchor by :func:`act_runs` and must give
-    b * anchor, else ``RuntimeError``.  Otherwise b is measured afresh by
-    :func:`exact_distance` at ``radius``.  Returns the bounds, and the
-    first b, in layer order, whose translate is proved longer than
-    ``radius`` (bounding stops there), or None when there is none.
+    with m's letter prepended.  A parent whose carried bound has reached
+    ``radius`` is first measured once by :func:`exact_distance`, when the
+    layer reaches its first child, so its children inherit its length
+    rather than ``radius``.  While the parent's bound is below ``radius``,
+    b gets that bound plus one, and the extension is replayed: m's letter
+    acts on parent * anchor by :func:`act_runs` and must give b * anchor,
+    else ``RuntimeError``.  Otherwise the parent's length is ``radius``,
+    and b is measured afresh by :func:`exact_distance` at ``radius``.
+    Returns the bounds, and the first b, in layer order, whose translate
+    is proved longer than ``radius`` (bounding stops there), or None when
+    there is none.
     """
     width = len(_MOVES)
     bounds: list[int] = []
@@ -654,12 +686,14 @@ def _bound_layer(
     for b, origin in zip(layer, origins):
         i, m = divmod(origin, width)
         translate = multiply(b, anchor)
-        bound = parent_bounds[i]
+        if i != last:
+            # Recomputed per parent, so the frontier holds no translates.
+            parent_translate = multiply(parents[i], anchor)
+            bound = parent_bounds[i]
+            if bound >= radius:
+                bound = exact_distance(parent_translate, radius, memory_limit_mb)
+            last = i
         if bound < radius:
-            if i != last:
-                # Recomputed per parent, so the frontier holds no translates.
-                parent_translate = multiply(parents[i], anchor)
-                last = i
             if act_runs(_MOVE_RUNS[m], parent_translate) != translate:
                 raise RuntimeError(f"a one-letter extension does not replay to {b}")
             bounds.append(bound + 1)
@@ -684,9 +718,10 @@ def certify_depth(
     replayed word.  For b = 1 it is a fresh witness: :func:`exact_distance`
     measures u at exactly 6n, which is why ``max_witness_length`` is 6n.
     Every later b inherits its first parent's bound plus one, its word
-    extended by one letter and replayed (:func:`_bound_layer`); only where
-    that parent's bound is already 6n is b*u measured afresh by
-    :func:`exact_distance` at radius 6n.  The first b, in breadth-first
+    extended by one letter and replayed (:func:`_bound_layer`).  A parent
+    whose bound has reached 6n is measured once by :func:`exact_distance`,
+    so its children inherit its length instead; only where that length is
+    6n is b*u measured afresh, at radius 6n.  The first b, in breadth-first
     order, whose translate is longer than 6n fails the certificate; since
     :func:`exact_distance` raises on its proved lower bound, a failure
     proves depth <= k.  After a failure the search only counts the rest of

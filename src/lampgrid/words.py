@@ -247,8 +247,9 @@ def _segment_effect(start: Pos, step: Pos, count: int) -> set[Pos]:
         singles = set(press_effect(last))
         ends = press_effect((p, q)) ^ singles
     # Lit lamps as half-open intervals [lo, hi) of t-axis offsets j, lamp
-    # (0, j), and of s-axis coordinates i < 0, lamp (i, 0).
-    t_axis = sorted(j for i, j in ends if i == 0)
+    # (0, j), and of s-axis coordinates i < 0, lamp (i, 0); each axis is
+    # sorted only where its lamps become intervals.
+    t_axis = [j for i, j in ends if i == 0]
     s_axis = sorted(i for i, _ in ends if i < 0)
     if dq:
         # Over 1 + x: (1+x)^i becomes (1+x)^(i-1); a Laurent polynomial with
@@ -256,8 +257,9 @@ def _segment_effect(start: Pos, step: Pos, count: int) -> set[Pos]:
         # x^a + x^b + ... = (1+x) (x^a + ... + x^(b-1)) + ....
         singles ^= {(i - 1, 0) for i in s_axis}
         if len(t_axis) & 1:
-            t_axis = sorted(set(t_axis) ^ {0})
+            t_axis = set(t_axis) ^ {0}
             singles ^= {(-1, 0)}
+        t_axis = sorted(t_axis)
         s_axis = []
     else:
         # Over x: x^j becomes x^(j-1), and (1+x)^-k becomes
@@ -270,9 +272,10 @@ def _segment_effect(start: Pos, step: Pos, count: int) -> set[Pos]:
         t_axis = []
     size = len(singles) + sum(t_axis[1::2]) - sum(t_axis[::2])
     size += sum(s_axis[1::2]) - sum(s_axis[::2])
-    for i, j in singles:
-        if bisect_right(t_axis, j) & 1 if i == 0 else bisect_right(s_axis, i) & 1:
-            size -= 2
+    if t_axis or s_axis:
+        for i, j in singles:
+            if bisect_right(t_axis, j) & 1 if i == 0 else bisect_right(s_axis, i) & 1:
+                size -= 2
     if size > RUN_LAMP_LIMIT:
         raise ValueError(f"toggles {size} lamps, over the limit of {RUN_LAMP_LIMIT}")
     for lo, hi in zip(t_axis[::2], t_axis[1::2]):
@@ -280,6 +283,20 @@ def _segment_effect(start: Pos, step: Pos, count: int) -> set[Pos]:
     for lo, hi in zip(s_axis[::2], s_axis[1::2]):
         singles.symmetric_difference_update([(i, 0) for i in range(lo, hi)])
     return singles
+
+
+def _presses_exceed_limit(first: Pos, count: int) -> bool:
+    """True when ``count`` presses the size of the one at ``first`` toggle
+    over ``PRESS_LAMP_LIMIT`` lamps.
+
+    A press toggles at most |p| + |q| + 1 lamps, so the size is counted
+    (:func:`press_size`) only for presses far from the origin.
+    """
+    p, q = first
+    return (
+        count * (abs(p) + abs(q) + 1) > PRESS_LAMP_LIMIT
+        and count * press_size(first) > PRESS_LAMP_LIMIT
+    )
 
 
 def act_runs(runs, state: Element) -> Element:
@@ -290,10 +307,14 @@ def act_runs(runs, state: Element) -> Element:
     press is an involution, and not at all if it is even.  A run pressing
     on both sides of each step (``ata``, ``asa`` and inverses) presses
     every inner vertex twice, so only its two ends.  Any other run presses
-    a segment of its line: letter by letter, or, past ``LONG_RUN``
-    letters, as one :func:`_segment_effect`, whose ``ValueError`` names the
-    run.  The runs are folded on one mutable lamp set and position;
-    ``state`` itself is left as it was.
+    a segment of its line: letter by letter, or as one
+    :func:`_segment_effect`, whose ``ValueError`` names the run, when that
+    is cheaper: past ``LONG_RUN`` letters, or past two letters when their
+    presses, each the size of the first, would toggle over
+    ``PRESS_LAMP_LIMIT`` lamps in all.  The segment builds two presses,
+    so for presses that large it costs no more from three letters on, and
+    its gain grows with the count.  The runs are folded on one mutable lamp
+    set and position; ``state`` itself is left as it was.
     """
     lamps = set(state.lamps)
     p, q = state.pos
@@ -313,8 +334,8 @@ def act_runs(runs, state: Element) -> Element:
             q += count * dq
             lamps ^= press_effect((p, q))
             continue
-        if count > LONG_RUN:
-            first = (p, q) if before else (p + dp, q + dq)
+        first = (p, q) if before else (p + dp, q + dq)
+        if count > LONG_RUN or count > 2 and _presses_exceed_limit(first, count):
             try:
                 lamps ^= _segment_effect(first, (dp, dq), count)
             except ValueError as exc:

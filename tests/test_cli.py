@@ -109,6 +109,15 @@ class TestNumericCommands:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_dist_memory_cap_states_a_proved_lower_bound(self, capsys):
+        # g_{10^5}'s walk of 600,001 vertices is charged over 1 MiB at once.
+        word = lampgrid.format_word(lampgrid.make_gn(10**5)[1])
+        argv = ("dist", word, "--alphabet", "metric", "--max-radius", "600000")
+        code, out, err = run(capsys, *argv, "--memory-limit-mb", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: distance to radius 600000 exceeds the 1 MiB cap; it is at least 600000\n"
+        assert run(capsys, *argv, "--memory-limit-mb", "16")[:2] == (0, "600000\n")
+
     def test_dist_never_searches(self, capsys, monkeypatch):
         def no_search(*args):
             raise AssertionError("dist searched")

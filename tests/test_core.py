@@ -197,6 +197,25 @@ class TestApplyLetter:
         assert state.lamps == lamps and state.pos == (2, 0)
 
 
+class TestElement:
+    def test_value_semantics(self):
+        g = ev("s^2 a s^-2 t a t^-1")
+        assert Element(frozenset(), (0, 0)) == identity()
+        assert Element(frozenset(g.lamps), tuple(g.pos)) == g
+        assert hash(Element(frozenset(g.lamps), g.pos)) == hash(g)
+        assert {g: 1, identity(): 0}[ev("s^2 a s^-2 t a t^-1")] == 1
+        assert element_from_json(element_to_json(g)) == g
+        assert repr(identity()) == "Element(lamps=frozenset(), pos=(0, 0))"
+
+    def test_immutable(self):
+        g = ev("t a")
+        with pytest.raises(AttributeError):
+            g.pos = (0, 0)
+        with pytest.raises(AttributeError):
+            g.lamps = frozenset()
+        assert g == Element(frozenset({(0, 0)}), (0, 1))
+
+
 class TestGroupOps:
     def test_multiply_matches_concatenation(self):
         assert multiply(ev("t"), ev("a")) == ev("t a")

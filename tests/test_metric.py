@@ -312,7 +312,10 @@ class TestExactDistance:
         assert exact_distance(make_gn(1)[0], 6, memory_limit_mb=1) == 6
 
     def test_cap_error_names_the_search(self):
-        with pytest.raises(MemoryCapExceeded, match="^distance to radius 6 exceeds the 0 MiB cap$"):
+        # The error also states the proved lower bound, here the length.
+        with pytest.raises(
+            MemoryCapExceeded, match="^distance to radius 6 exceeds the 0 MiB cap; it is at least 6$"
+        ):
             exact_distance(make_gn(1)[0], 6, memory_limit_mb=0)
 
     def test_long_walk_is_charged_by_its_presses(self):
@@ -487,6 +490,42 @@ class TestBallAndSpheres:
         with pytest.raises(MemoryCapExceeded):
             ball_with_depths(4, memory_limit_mb=0)
 
+    def test_expansion_prepends_each_move(self):
+        # The children of every state of B(5), one state at a time: each
+        # move's product, first occurrences only, with its move as origin.
+        for state in ball_with_depths(5):
+            products = [multiply(mv, state) for mv in metric._MOVES]
+            firsts = {}
+            for m, child in enumerate(products):
+                firsts.setdefault(child, m)
+            origins = []
+            children = metric._expand_layer(
+                [state], {}, 1, metric._Budget(None, "one state"), origins
+            )
+            assert children == list(firsts)
+            assert origins == list(firsts.values())
+
+    def test_ball_matches_a_search_by_multiply(self):
+        expected = {identity(): 0}
+        expected_origins = []
+        frontier = [identity()]
+        for layer in range(1, 7):
+            new, origins = [], []
+            for i, state in enumerate(frontier):
+                for m, mv in enumerate(metric._MOVES):
+                    child = multiply(mv, state)
+                    if child not in expected:
+                        expected[child] = layer
+                        new.append(child)
+                        origins.append(len(metric._MOVES) * i + m)
+            expected_origins.append(origins)
+            frontier = new
+        seen = []
+        ball = ball_with_depths(6, on_layer=lambda _, __, origins: seen.append(origins) or True)
+        assert list(ball.items()) == list(expected.items())
+        assert seen == expected_origins
+        assert sphere_sizes(6) == [1, 17, 70, 240, 722, 2000, 5234]
+
 
 class TestMakeGn:
     def test_small_values(self):
@@ -606,7 +645,9 @@ class TestCertifyDepth:
         with pytest.raises(RuntimeError, match="does not replay"):
             certify_depth(1, 2)
 
-    def test_fresh_witnesses_only_past_a_parent_at_6n(self, monkeypatch):
+    @staticmethod
+    def fresh_witnesses(monkeypatch, n, k):
+        """The certificate, and how many exact_distance calls it made."""
         calls = []
         measure = metric.exact_distance
 
@@ -615,8 +656,20 @@ class TestCertifyDepth:
             return measure(*args)
 
         monkeypatch.setattr(metric, "exact_distance", counted)
-        assert certify_depth(5, 5).neighborhood_size == 3050
-        assert len(calls) <= 602
+        return certify_depth(n, k), len(calls)
+
+    def test_fresh_witnesses_only_past_a_parent_at_6n(self, monkeypatch):
+        certificate, calls = self.fresh_witnesses(monkeypatch, 5, 5)
+        assert certificate.neighborhood_size == 3050
+        assert calls == 468
+
+    @pytest.mark.parametrize("n, witnesses", [(3, 72), (4, 72), (6, 468)])
+    def test_fresh_witness_counts(self, monkeypatch, n, witnesses):
+        # A parent at 6n is measured once; only children of a parent of
+        # length exactly 6n get a fresh witness each.  The anchor counts once
+        # for itself and once as the parent of B(1).
+        certificate, calls = self.fresh_witnesses(monkeypatch, n, n)
+        assert (certificate.verdict, calls) == ("certified", witnesses)
 
     @pytest.mark.parametrize(
         "n, inside, outside", [(1, 88, 328), (2, 1050, 3050), (3, 8284, 21420)]

@@ -211,6 +211,28 @@ class TestRunFold:
             patch.setattr(words, "LONG_RUN", long_run)
             assert act_runs(word.runs, state) == expected
 
+    @given(run_words(), elements(max_n=6), st.integers(0, 40))
+    def test_large_press_route_matches_the_letter_fold(self, word, state, press_limit):
+        # With the limit this low, a run of three or more letters takes the
+        # segment route whenever its presses are large enough.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(words, "PRESS_LAMP_LIMIT", press_limit)
+            assert act_runs(word.runs, state) == fold_letters(word.letters, state)
+
+    def test_short_run_of_large_presses_is_a_segment(self, monkeypatch):
+        # Thirty presses on the s-axis just below 2^20, of 2^16 to 2^19 lamps
+        # each, 6,881,280 in all: as a segment, two presses.
+        pressed = []
+
+        def counted(pos):
+            pressed.append(pos)
+            return press_effect(pos)
+
+        monkeypatch.setattr(words, "press_effect", counted)
+        g = evaluate(parse("sa^30 s^1048545", METRIC))
+        assert (g.pos, len(g.lamps)) == ((2**20 - 1, 0), 983040)
+        assert len(pressed) == 2
+
     def test_segment_over_the_run_limit_is_refused(self, monkeypatch):
         monkeypatch.setattr(words, "LONG_RUN", 0)
         monkeypatch.setattr(words, "RUN_LAMP_LIMIT", 6)
