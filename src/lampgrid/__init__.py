@@ -21,7 +21,6 @@ from .metric import (
     DepthCertificate,
     MemoryCapExceeded,
     RadiusExceeded,
-    TrapezoidSolution,
     ball_with_depths,
     certify_depth,
     exact_distance,
@@ -32,7 +31,6 @@ from .metric import (
     search_distance,
     sphere_sizes,
     tour_lower_bound,
-    trapezoid_summits,
     witness_word,
 )
 from .words import (
@@ -60,7 +58,6 @@ __all__ = [
     "METRIC",
     "PRESENTATION",
     "RadiusExceeded",
-    "TrapezoidSolution",
     "Word",
     "WordError",
     "a_length",
@@ -89,6 +86,5 @@ __all__ = [
     "search_distance",
     "sphere_sizes",
     "tour_lower_bound",
-    "trapezoid_summits",
     "witness_word",
 ]

@@ -10,13 +10,15 @@ with corners (n,0), (-n,0), (0,n), (0,-n), (n,-n), (-n,n).  Every element
 g but the origin press ``a`` (length 1) has length
 :func:`halfplane_bound`\\ (g): the half-plane lemma gives the lower side,
 and :func:`witness_word`, the one witness builder, a word of that length.
-Inside H_n the bound is at most 6n, and the triple-lamp anchor g_n of
-:func:`make_gn` needs exactly 6n.  :func:`certify_depth` bounds every
-neighbour of g_n within distance k as it searches them: below by the
-half-plane lemma, above by a replayed word, either a fresh witness or a
-replayed parent word plus one letter.  So both of its verdicts are
-proofs: depth > k when all stay within 6n, depth <= k when one leaves.
-For n <= 4 the two meet at depth(g_n) = 2n + 1.
+The paper builds the t-axis presses of a geodesic with a trapezoid;
+here the back-substitution of :func:`witness_word` does that job for
+every element.  Inside H_n the bound is at most 6n, and the triple-lamp
+anchor g_n of :func:`make_gn` needs exactly 6n.  :func:`certify_depth`
+bounds every neighbour of g_n within distance k as it searches them:
+below by the half-plane lemma, above by a replayed word, either a fresh
+witness or a replayed parent word plus one letter.  So both of its
+verdicts are proofs: depth > k when all stay within 6n, depth <= k when
+one leaves.  For n <= 4 the two meet at depth(g_n) = 2n + 1.
 
 Breadth-first searches here are sequential and deterministic: given the
 same inputs they produce identical counts and certificates.
@@ -115,59 +117,6 @@ def hex_param(g: Element) -> int:
         if bound > value:
             value = bound
     return value
-
-
-@dataclass(frozen=True)
-class TrapezoidSolution:
-    """Rows of bits over a base sequence, with the exceptional entries marked.
-
-    Row 0 is the base; each row above is one entry shorter, left-aligned.
-    Every non-summit entry equals the mod-2 sum of its at-most-two upper
-    neighbours; summits can occur only at the left end of rows 0..rows-2
-    and anywhere in the top row.  When the base occupies the t-axis
-    segment starting at position ``j0``, the summit ``(row, index)`` names
-    a button at grid position ``(row, j0 + index)``, and pressing exactly
-    the summit buttons reproduces the base pattern on that segment.
-    """
-
-    base: tuple[int, ...]
-    rows: int
-    summits: frozenset[tuple[int, int]]
-
-
-def trapezoid_summits(base, rows: int) -> TrapezoidSolution:
-    """Build the trapezoid over ``base`` bottom-up, one entry at a time.
-
-    Each new row is filled right to left, choosing every entry so that the
-    entry below-right of it satisfies its mod-2 relation.  Violations then
-    survive only at left ends and in the top row; those are the summits.
-    This is the paper's own construction of the t-axis presses.  It sits
-    outside the witness path, which :func:`witness_word` solves by
-    back-substitution; the selftest suite ``metric-trapezoid`` checks it.
-    """
-    bits = [int(b) for b in base]
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("base must consist of zeros and ones")
-    m = len(bits)
-    if not 1 <= rows <= m:
-        raise ValueError(f"rows must be in 1..{m}, got {rows}")
-    levels: list[list[int]] = [bits]
-    for lev in range(1, rows):
-        width = m - lev
-        row = [0] * width
-        for u in range(width - 1, -1, -1):
-            right = row[u + 1] if u + 1 < width else 0
-            row[u] = levels[lev - 1][u + 1] ^ right
-        levels.append(row)
-    summits = set()
-    for lev in range(rows - 1):
-        if levels[lev][0] != levels[lev + 1][0]:
-            summits.add((lev, 0))
-    top = rows - 1
-    for u, bit in enumerate(levels[top]):
-        if bit:
-            summits.add((top, u))
-    return TrapezoidSolution(tuple(bits), rows, frozenset(summits))
 
 
 # Letter for one unit move, keyed by (delta, press before, press after):
@@ -615,10 +564,12 @@ class DepthCertificate:
     distance k, takes the anchor out of that ball, so its dead-end depth is
     at most k.  ``max_witness_length`` is the longest replayed word the
     certifier holds for a neighbour.  It is always 6n: the neighbour b = 1
-    is the anchor itself, measured at exactly 6n, and no bound is kept past
+    is the anchor itself, of length exactly 6n by :func:`halfplane_bound`
+    and the replayed word of :func:`make_gn`, and no bound is kept past
     6n.  A neighbour inherits its parent's bound plus one only below 6n; a
-    parent whose bound has reached 6n is measured once, and only the
-    children of one whose length is exactly 6n are measured afresh.
+    parent whose bound has reached 6n, the anchor first among them as the
+    parent of B(1), is measured once by :func:`exact_distance`, and only
+    the children of one whose length is exactly 6n are measured afresh.
     """
 
     n: int
@@ -714,22 +665,22 @@ def certify_depth(
     in the radius-k ball.  Word length is inversion-invariant and u is an
     involution, so |u*b| = |b^-1*u|, and b -> b^-1 permutes the ball; the
     certifier therefore bounds the left-translates b*u instead, layer by
-    layer as :func:`ball_with_depths` searches the ball.  The upper side of each bound is a
-    replayed word.  For b = 1 it is a fresh witness: :func:`exact_distance`
-    measures u at exactly 6n, which is why ``max_witness_length`` is 6n.
-    Every later b inherits its first parent's bound plus one, its word
-    extended by one letter and replayed (:func:`_bound_layer`).  A parent
-    whose bound has reached 6n is measured once by :func:`exact_distance`,
-    so its children inherit its length instead; only where that length is
-    6n is b*u measured afresh, at radius 6n.  The first b, in breadth-first
-    order, whose translate is longer than 6n fails the certificate; since
-    :func:`exact_distance` raises on its proved lower bound, a failure
-    proves depth <= k.  After a failure the search only counts the rest of
-    the ball, for ``neighborhood_size``.  That |u| = 6n is checked too: its
-    :func:`halfplane_bound` must be 6n and the defining word of
-    :func:`make_gn` must replay in 6n letters.  ``memory_limit_mb`` caps
-    the ball and each fresh witness (default ``DEFAULT_MEMORY_LIMIT_MB``,
-    read at call time).
+    layer as :func:`ball_with_depths` searches the ball.  The upper side of
+    each bound is a replayed word.  For b = 1 it is the defining word of
+    :func:`make_gn`, which must replay to u in 6n letters, while
+    :func:`halfplane_bound` must give 6n for the lower side; that proves
+    |u| = 6n, which is why ``max_witness_length`` is 6n.  Every later b
+    inherits its first parent's bound plus one, its word extended by one
+    letter and replayed (:func:`_bound_layer`).  A parent whose bound has
+    reached 6n is measured once by :func:`exact_distance`, so its children
+    inherit its length instead; u is the first such parent, of B(1).  Only
+    where that length is 6n is b*u measured afresh, at radius 6n.  The
+    first b, in breadth-first order, whose translate is longer than 6n
+    fails the certificate; since :func:`exact_distance` raises on its
+    proved lower bound, a failure proves depth <= k.  After a failure the
+    search only counts the rest of the ball, for ``neighborhood_size``.
+    ``memory_limit_mb`` caps the ball and each fresh witness (default
+    ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).
 
     Requires n >= 1 and k >= 0.
     """
@@ -741,8 +692,7 @@ def certify_depth(
         raise RuntimeError("anchor is expected to be an involution spelled by its word")
     if not halfplane_bound(anchor) == a_length(word) == radius:
         raise RuntimeError("anchor is expected to have length 6n")
-    longest = exact_distance(anchor, radius, memory_limit_mb)
-    bounds = [longest]
+    bounds = [radius]
     failure = None
 
     def bound_layer(frontier, layer, origins) -> bool:
@@ -754,7 +704,7 @@ def certify_depth(
 
     size = len(ball_with_depths(k, memory_limit_mb, bound_layer))
     if failure is None:
-        return DepthCertificate(n, k, radius, size, longest, "certified", None)
+        return DepthCertificate(n, k, radius, size, radius, "certified", None)
     return DepthCertificate(
-        n, k, radius, size, longest, "failed", format_word(canonical_word(failure))
+        n, k, radius, size, radius, "failed", format_word(canonical_word(failure))
     )

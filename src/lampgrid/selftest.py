@@ -3,11 +3,10 @@
 Each check returns a :class:`CheckResult`; a failure carries a short
 description of the first offending case.  Where a check pits the
 production code against an oracle, the oracle here is an independent
-route: Pascal rows grow by the additive recurrence, the trapezoid is
-cross-solved by dense GF(2) elimination, and witnesses are replayed by
-evaluating their words, a route apart from the constructions that built
-them.  Checks raise
-explicitly rather than by ``assert``, so they hold under ``python -O``.
+route: Pascal rows grow by the additive recurrence, and witnesses are
+replayed by evaluating their words, a route apart from the construction
+that built them.  Checks raise explicitly rather than by ``assert``, so
+they hold under ``python -O``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .metric import (
     make_gn,
     search_distance,
     tour_lower_bound,
-    trapezoid_summits,
     witness_word,
 )
 from .words import (
@@ -278,68 +276,6 @@ def check_word_roundtrip(samples: int = 300, seed="roundtrip") -> CheckResult:
     return _run("words-roundtrip", body)
 
 
-def _dense_gf2_solve(matrix: list[list[int]], rhs: list[int]) -> list[int] | None:
-    # Plain row elimination over nested lists; oracle route for the trapezoid.
-    m = len(rhs)
-    cols = len(matrix[0]) if matrix else 0
-    rows = [list(matrix[i]) + [rhs[i]] for i in range(m)]
-    pivot_of: list[int | None] = [None] * cols
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, m) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                rows[i] = [x ^ y for x, y in zip(rows[i], rows[r])]
-        pivot_of[c] = r
-        r += 1
-    for i in range(r, m):
-        if rows[i][cols]:
-            return None
-    out = [0] * cols
-    for c, pivot in enumerate(pivot_of):
-        if pivot is not None:
-            out[c] = rows[pivot][cols]
-    return out
-
-
-def check_trapezoid(max_m: int = 10) -> CheckResult:
-    def body() -> str:
-        instances = 0
-        for m in range(1, max_m + 1):
-            for pattern in range(1 << m):
-                bits = [(pattern >> i) & 1 for i in range(m)]
-                for rows in range(1, m + 1):
-                    instances += 1
-                    solution = trapezoid_summits(bits, rows)
-                    cells = [
-                        (lev, u) for lev in range(rows) for u in range(m - lev)
-                        if lev == rows - 1 or u == 0
-                    ]
-                    matrix = []
-                    for j in range(m):
-                        matrix.append(
-                            [1 if (0, j) in press_effect((lev, u)) else 0 for lev, u in cells]
-                        )
-                    solved = _dense_gf2_solve(matrix, bits)
-                    _check(
-                        solved is not None,
-                        f"oracle found no solution (m={m}, r={rows})",
-                    )
-                    oracle = frozenset(c for c, x in zip(cells, solved) if x)
-                    _check(solution.summits == oracle, f"summits differ (m={m}, r={rows})")
-                    replay: set = set()
-                    for lev, u in solution.summits:
-                        replay ^= press_effect((lev, u))
-                    expected = {(0, j) for j in range(m) if bits[j]}
-                    _check(replay == expected, f"replay mismatch (m={m}, r={rows})")
-        return f"{instances} instances, elimination oracle and press replay agree"
-
-    return _run("metric-trapezoid", body)
-
-
 def check_witness(
     samples: int = 500, max_hex: int = 25, ball_radius: int = 4, seed="witness"
 ) -> CheckResult:
@@ -475,7 +411,6 @@ SUITES: dict[str, Callable[[], CheckResult]] = {
     "core-conjugates": check_conjugates,
     "words-homomorphism": check_homomorphism,
     "words-roundtrip": check_word_roundtrip,
-    "metric-trapezoid": check_trapezoid,
     "metric-witness": check_witness,
     "metric-tour": check_tour,
     "metric-gn-distance": check_gn_distance,

@@ -51,10 +51,6 @@ def test_c05_algebra_vs_words():
     _report(5, selftest.check_homomorphism(pairs=500, max_len=40))
 
 
-def test_c06_trapezoid_solver():
-    _report(6, selftest.check_trapezoid(max_m=10), limit=10.0)
-
-
 def test_c07_witness_soundness():
     _report(
         7,

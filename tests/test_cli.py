@@ -171,6 +171,32 @@ class TestCertify:
         assert (data["verdict"], data["failure_witness"]) == ("failed", "s^3")
         assert "dead-end depth of the anchor is at most 3" in out
 
+    @pytest.mark.parametrize(
+        "k, code, out, err",
+        [
+            (
+                0,
+                0,
+                '{"n": 357913941, "k": 0, "ball_radius": 2147483646, "neighborhood_size": 1,'
+                ' "max_witness_length": 2147483646, "verdict": "certified",'
+                ' "failure_witness": null}\n',
+                "",
+            ),
+            (
+                1,
+                1,
+                "",
+                "error: distance to radius 2147483646 exceeds the 2048 MiB cap;"
+                " it is at least 2147483646\n",
+            ),
+        ],
+        ids=["k0-proved-by-its-word", "k1-witness-meets-the-cap"],
+    )
+    def test_largest_anchor(self, capsys, k, code, out, err):
+        # 6n = 2^31 - 2.  The anchor's length is proved by its word; only as
+        # the parent of B(1) is it measured by a witness, which the cap refuses.
+        assert run(capsys, "certify-depth", "357913941", str(k), "--json") == (code, out, err)
+
     def test_usage_error_when_k_is_negative(self, capsys):
         code, _, err = run(capsys, "certify-depth", "1", "-1")
         assert code == 2

@@ -34,7 +34,6 @@ from lampgrid import (
     search_distance,
     sphere_sizes,
     tour_lower_bound,
-    trapezoid_summits,
     witness_word,
 )
 from lampgrid import metric
@@ -89,43 +88,6 @@ class TestHexagon:
     def test_in_hex_boundary(self):
         assert in_hex((2, -4), 4)
         assert not in_hex((3, 3), 4)
-
-
-class TestTrapezoid:
-    def test_all_zero_base(self):
-        for rows in (1, 2, 4):
-            assert trapezoid_summits([0, 0, 0, 0], rows).summits == frozenset()
-
-    def test_single_entry(self):
-        assert trapezoid_summits([1], 1).summits == frozenset({(0, 0)})
-
-    def test_worked_example(self):
-        # solved by hand and cross-checked by elimination
-        solution = trapezoid_summits([1, 0, 1, 1], 3)
-        assert solution.summits == frozenset({(0, 0), (1, 0), (2, 0), (2, 1)})
-
-    def test_rows_out_of_range(self):
-        with pytest.raises(ValueError):
-            trapezoid_summits([1, 0], 3)
-        with pytest.raises(ValueError):
-            trapezoid_summits([1, 0], 0)
-
-    @given(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=9), st.data())
-    def test_replay_reproduces_base(self, bits, data):
-        rows = data.draw(st.integers(1, len(bits)))
-        solution = trapezoid_summits(bits, rows)
-        replay = set()
-        for lev, u in solution.summits:
-            replay ^= press_effect((lev, u))
-        assert replay == {(0, j) for j, b in enumerate(bits) if b}
-
-    @given(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=9), st.data())
-    def test_summit_positions_allowed(self, bits, data):
-        rows = data.draw(st.integers(1, len(bits)))
-        solution = trapezoid_summits(bits, rows)
-        for lev, u in solution.summits:
-            assert 0 <= lev < rows
-            assert lev == rows - 1 or u == 0
 
 
 class TestWitness:
@@ -608,9 +570,13 @@ class TestCertifyDepth:
             certify_depth(0, 0)
 
     def test_memory_cap_covers_the_witnesses(self):
-        # B(0) stores no state, so only the anchor's own witness can trip it.
-        with pytest.raises(MemoryCapExceeded):
-            certify_depth(1, 0, memory_limit_mb=0)
+        # B(1)'s 17 states fit in 1 MiB, so only a fresh witness, that of the
+        # anchor as the parent of B(1), can trip it.
+        with pytest.raises(
+            MemoryCapExceeded,
+            match=r"^distance to radius 180000 exceeds the 1 MiB cap; it is at least 180000$",
+        ):
+            certify_depth(30000, 1, memory_limit_mb=1)
 
     @pytest.mark.parametrize(
         "n, ks",
@@ -661,13 +627,14 @@ class TestCertifyDepth:
     def test_fresh_witnesses_only_past_a_parent_at_6n(self, monkeypatch):
         certificate, calls = self.fresh_witnesses(monkeypatch, 5, 5)
         assert certificate.neighborhood_size == 3050
-        assert calls == 468
+        assert calls == 467
 
-    @pytest.mark.parametrize("n, witnesses", [(3, 72), (4, 72), (6, 468)])
+    @pytest.mark.parametrize("n, witnesses", [(3, 71), (4, 71), (6, 467)])
     def test_fresh_witness_counts(self, monkeypatch, n, witnesses):
         # A parent at 6n is measured once; only children of a parent of
-        # length exactly 6n get a fresh witness each.  The anchor counts once
-        # for itself and once as the parent of B(1).
+        # length exactly 6n get a fresh witness each.  The anchor's own
+        # length is proved by its word, so it is measured only as the
+        # parent of B(1).
         certificate, calls = self.fresh_witnesses(monkeypatch, n, n)
         assert (certificate.verdict, calls) == ("certified", witnesses)
 
