@@ -1,18 +1,27 @@
 #!/usr/bin/env python3
-"""Produce dead-end depth certificates for the anchor family at desk scale.
+"""Prove the dead-end depth of the anchor family by the ball route, at desk scale.
 
-For each n up to --max-n, certifies that every element within distance n
-of the n-th anchor stays inside the closed radius-6n ball, i.e. that the
-anchor's dead-end depth exceeds n.  Writes the certificates as JSON and
-prints a summary table.
+For each n up to --max-n, certifies that every element within distance 2n
+of the n-th anchor stays inside the closed radius-6n ball, so the anchor's
+dead-end depth exceeds 2n, and that the offset s^(2n+1) takes it out, so
+the depth is at most 2n + 1.  Together: depth(g_n) = 2n + 1.  Prints a
+table with the time and the process's peak RSS so far after each
+certificate, optionally writes the certificates as JSON, and exits 1 when
+any certificate disagrees.
 """
 
 import argparse
 import json
+import resource
 import time
 
 from lampgrid import certify_depth, make_gn, search_distance
 from lampgrid.metric import DEFAULT_MEMORY_LIMIT_MB
+
+
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far (ru_maxrss is in KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main() -> int:
@@ -23,19 +32,28 @@ def main() -> int:
     args = parser.parse_args()
 
     certificates = []
-    print(f"{'n':>3} {'checked':>8} {'max witness':>12} {'6n':>5} {'verdict':>10} {'secs':>7}")
+    print(
+        f"{'n':>3} {'k':>3} {'checked':>9} {'6n':>4} {'verdict':>10} {'offset':>7}"
+        f" {'secs':>7} {'peak MB':>8}"
+    )
     for n in range(1, args.max_n + 1):
-        start = time.perf_counter()
-        cert = certify_depth(n, n, memory_limit_mb=args.memory_limit_mb)
-        elapsed = time.perf_counter() - start
-        certificates.append(cert.to_json())
-        print(
-            f"{n:>3} {cert.neighborhood_size:>8}"
-            f" {cert.max_witness_length:>12} {cert.ball_radius:>5} {cert.verdict:>10} {elapsed:>7.2f}"
-        )
-        if cert.verdict != "certified":
-            print(f"  FAILED at offset {cert.failure_witness}")
-            return 1
+        for k in (2 * n, 2 * n + 1):
+            start = time.perf_counter()
+            cert = certify_depth(n, k, memory_limit_mb=args.memory_limit_mb)
+            elapsed = time.perf_counter() - start
+            certificates.append(cert.to_json())
+            print(
+                f"{n:>3} {k:>3} {cert.neighborhood_size:>9} {cert.ball_radius:>4}"
+                f" {cert.verdict:>10} {cert.failure_witness or '-':>7}"
+                f" {elapsed:>7.2f} {peak_rss_mb():>8.1f}"
+            )
+            expected = (
+                ("certified", None) if k == 2 * n else ("failed", f"s^{2 * n + 1}")
+            )
+            if (cert.verdict, cert.failure_witness) != expected:
+                print(f"  expected {expected[0]} at k = {k}: depth(g_{n}) is not {2 * n + 1}")
+                return 1
+    print(f"depth(g_n) = 2n + 1 proved for n = 1..{args.max_n}")
 
     anchor, _ = make_gn(1)
     # An explicit check, unlike `assert`, still runs under `python -O`.

@@ -2,6 +2,7 @@
 """Tabulate sphere sizes of the 17-move Cayley graph around the identity."""
 
 import argparse
+import resource
 import time
 
 from lampgrid import sphere_sizes
@@ -24,7 +25,9 @@ def main() -> int:
         total += size
         ratio = f"{size / sizes[r - 1]:.2f}" if r and sizes[r - 1] else "-"
         print(f"{r:>3} {size:>10} {total:>10} {ratio:>8}")
-    print(f"enumerated in {elapsed:.2f}s")
+    # ru_maxrss is in KiB on Linux.
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"enumerated in {elapsed:.2f}s, peak RSS {peak_mb:.1f} MB")
     return 0
 
 

@@ -18,7 +18,7 @@ bounds every neighbour of g_n within distance k as it searches them:
 below by the half-plane lemma, above by a replayed word, either a fresh
 witness or a replayed parent word plus one letter.  So both of its
 verdicts are proofs: depth > k when all stay within 6n, depth <= k when
-one leaves.  For n <= 4 the two meet at depth(g_n) = 2n + 1.
+one leaves.  For n <= 6 the two meet at depth(g_n) = 2n + 1.
 
 Breadth-first searches here are sequential and deterministic: given the
 same inputs they produce identical counts and certificates.
@@ -58,15 +58,23 @@ from .words import (
 DEFAULT_MEMORY_LIMIT_MB = 2048
 
 # Bytes one recorded search state holds, by sys.getsizeof on the running
-# interpreter: its Element, a tuple that getsizeof counts whole, its
-# position pair and its slot in the depth table; each charge adds the lamp
-# frozenset and one pair per lamp.  States share some lamp pairs, and a
-# child that a move only steps shares its parent's lamp set, so the charge
-# errs high rather than low.
+# interpreter: its Element, a tuple that getsizeof counts whole, its slot in
+# the depth table and its pointer in its layer's list.  A search holds each
+# distinct lamp set and position once (_Budget.charge) and charges it once,
+# with its slot in the search's table: a lamp set its frozenset and one pair
+# per lamp, a position its pair.  Left out is the second table a dict holds
+# while it resizes; the pairs a lamp set shares with others, charged again
+# in every set, pay for it.  So the charge tracks the traced peak closely
+# rather than erring high; test_charge_covers_traced_peak holds it there.
+_POINTER_COST = 8
 _PAIR_COST = getsizeof((0, 0))
 _SLOT_COST = getsizeof(dict.fromkeys(range(1024))) // 1024
 _INT_COST = getsizeof(2**30)
-_STATE_COST = getsizeof(identity()) + _PAIR_COST + _SLOT_COST
+_STATE_COST = getsizeof(identity()) + _SLOT_COST + _POINTER_COST
+# Given on_layer, a search also keeps, for each state of the layer it hands
+# over, its origin (an int and a list pointer) and a list pointer for what
+# the hook keeps per state: certify's bound, a small int Python caches.
+_HOOK_COST = _INT_COST + 2 * _POINTER_COST
 # A press of a witness holds its position pair and coordinates, a slot in
 # each of the three press sets of the solve and the fuser, a stop pair on
 # its leg and up to two runs; on replay a lampstand press caches its
@@ -78,7 +86,7 @@ _PRESS_COST = (
 # walk is charged one pointer per vertex before it is walked: a walk at the
 # input limit (2^31 vertices, minutes of solving) meets the default cap at
 # once, while an anchor's walk of 6n vertices fits it for n up to 4*10^7.
-_WALK_COST = 8
+_WALK_COST = _POINTER_COST
 # Frames, generators, the path and the word of one witness: about 3 kB by
 # tracemalloc, rounded up.
 _SOLVE_COST = 4096
@@ -283,21 +291,46 @@ _IDENTITY = identity()
 
 
 class _Budget:
-    """Storage of the states one search has recorded, against a cap."""
+    """Storage of the states one search has recorded, against a cap.
+
+    It also owns the search's table of lamp sets and positions: every
+    state :meth:`charge` records is rebuilt from the table's copies, so
+    equal lamp sets and equal positions are held once per search, however
+    many states share them.  The table lives and dies with the search; no
+    value outlives it except through the states the search returns.
+    """
 
     def __init__(self, limit_mb: int | None, search: str):
         # None is the module default, read now rather than at definition.
         self.limit_mb = DEFAULT_MEMORY_LIMIT_MB if limit_mb is None else limit_mb
         self.search = search
         self.left = self.limit_mb * 1024 * 1024
+        self.table: dict = {}
 
     def spend(self, size: int) -> None:
         self.left -= size
         if self.left < 0:
             raise MemoryCapExceeded(f"{self.search} exceeds the {self.limit_mb} MiB cap")
 
-    def charge(self, g: Element) -> None:
-        self.spend(_STATE_COST + getsizeof(g.lamps) + _PAIR_COST * len(g.lamps))
+    def charge(self, g: Element) -> Element:
+        """Charge a new state ``g`` and return it, built from the table's copies.
+
+        The state is charged its :class:`Element` and its slot in a depth
+        table.  Its lamp set and position are charged only when they first
+        enter the table, with their slot there.
+        """
+        table = self.table
+        size = _STATE_COST
+        lamps = table.get(g.lamps)
+        if lamps is None:
+            lamps = table[g.lamps] = g.lamps
+            size += _SLOT_COST + getsizeof(lamps) + _PAIR_COST * len(lamps)
+        pos = table.get(g.pos)
+        if pos is None:
+            pos = table[g.pos] = g.pos
+            size += _SLOT_COST + _PAIR_COST
+        self.spend(size)
+        return Element(lamps, pos)
 
 
 def _expand_layer(
@@ -309,8 +342,9 @@ def _expand_layer(
 ) -> list[Element]:
     """Next breadth-first layer: prepend every move to every frontier state.
 
-    States not yet in ``depths`` are recorded there at ``layer``, charged
-    to ``budget`` and returned in expansion order.  The children of a state
+    States not yet in ``depths`` are charged to ``budget``, which swaps in
+    its copies of their lamp sets and positions, recorded in ``depths`` at
+    ``layer`` and returned in expansion order.  The children of a state
     are ``multiply(mv, state)`` for the moves ``mv`` of ``_MOVES``, in that
     order, built from one lookup of each press effect they share: the
     effects at the state's position plus each of ``_OFFSETS``, XORed into
@@ -322,6 +356,7 @@ def _expand_layer(
     """
     nxt: list[Element] = []
     width = len(_MOVES)
+    charge = budget.charge
     for i, (lamps, (p, q)) in enumerate(frontier):
         effects = [press_effect((p + dp, q + dq)) for dp, dq in _OFFSETS]
         lit = [lamps ^ reduce(xor, [effects[j] for j in toggle]) for toggle in _TOGGLES]
@@ -329,8 +364,8 @@ def _expand_layer(
         for m, ((dp, dq), toggle) in enumerate(_STEPS):
             child = Element(lit[toggle], (p + dp, q + dq))
             if child not in depths:
+                child = charge(child)
                 depths[child] = layer
-                budget.charge(child)
                 nxt.append(child)
                 if origins is not None:
                     origins.append(width * i + m)
@@ -347,22 +382,29 @@ def ball_with_depths(
     Canonicalized breadth-first search: states are deduplicated by their
     normal form, each new layer prepends one of the 17 moves.  Expansion
     order is fixed, so the mapping (and its iteration order) is
-    deterministic.  Raises :class:`MemoryCapExceeded` when the stored
-    states outgrow ``memory_limit_mb`` (default ``DEFAULT_MEMORY_LIMIT_MB``,
-    read at call time).  Given ``on_layer``, each new layer is passed to
-    it as ``on_layer(frontier, layer, origins)``, with the origins of
-    :func:`_expand_layer`, until it returns False.
+    deterministic.  Equal lamp sets and equal positions are held once
+    across the ball (:class:`_Budget`), so a state costs its
+    :class:`Element` and its slot in the mapping, plus its lamp set and
+    position only where no earlier state has them.  Raises
+    :class:`MemoryCapExceeded` when the stored states outgrow
+    ``memory_limit_mb`` (default ``DEFAULT_MEMORY_LIMIT_MB``, read at call
+    time).  Given ``on_layer``, each new layer is passed to it as
+    ``on_layer(frontier, layer, origins)``, with the origins of
+    :func:`_expand_layer`, until it returns False; each state of such a
+    layer is also charged its origin and one value the hook keeps for it.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     budget = _Budget(memory_limit_mb, f"ball of radius {radius}")
-    depths: dict[Element, int] = {_IDENTITY: 0}
-    frontier = [_IDENTITY]
+    frontier = [budget.charge(_IDENTITY)]
+    depths: dict[Element, int] = {frontier[0]: 0}
     for depth in range(1, radius + 1):
         origins = None if on_layer is None else []
         layer = _expand_layer(frontier, depths, depth, budget, origins)
-        if on_layer is not None and not on_layer(frontier, layer, origins):
-            on_layer = None
+        if on_layer is not None:
+            budget.spend(_HOOK_COST * len(layer))
+            if not on_layer(frontier, layer, origins):
+                on_layer = None
         frontier = layer
     return depths
 
@@ -528,15 +570,16 @@ def search_distance(g: Element, max_r: int, memory_limit_mb: int | None = None) 
     witness word, so it is the oracle of :func:`exact_distance`.  Raises
     :class:`RadiusExceeded` past ``max_r`` and :class:`MemoryCapExceeded`
     when the states of both sides outgrow ``memory_limit_mb`` (default
-    ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).
+    ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).  The two sides share
+    one budget, so equal lamp sets and positions are held once across both.
     """
     budget = _Budget(memory_limit_mb, f"distance search to radius {max_r}")
     if g == _IDENTITY:
         return 0
-    dist_a: dict[Element, int] = {_IDENTITY: 0}
-    dist_b: dict[Element, int] = {g: 0}
-    frontier_a = [_IDENTITY]
-    frontier_b = [g]
+    frontier_a = [budget.charge(_IDENTITY)]
+    frontier_b = [budget.charge(g)]
+    dist_a: dict[Element, int] = {frontier_a[0]: 0}
+    dist_b: dict[Element, int] = {frontier_b[0]: 0}
     radius_a = radius_b = 0
     while radius_a + radius_b < max_r:
         if len(frontier_a) <= len(frontier_b):

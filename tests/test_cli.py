@@ -331,24 +331,71 @@ class TestOutputFingerprint:
         assert lines.count("exit 0") > lines.count("exit 1") > 0
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(*argv: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    src = str(Path(lampgrid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *flags, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def patched_certificate_script(patch: str, max_n: int) -> str:
+    # Runs the script with one lampgrid name replaced, under -O.
+    path = SCRIPTS / "run_depth_certificates.py"
+    return (
+        "import runpy, sys\n"
+        "import lampgrid\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not running under -O')\n"
+        f"{patch}\n"
+        f"sys.argv = ['run_depth_certificates.py', '--max-n', '{max_n}']\n"
+        f"runpy.run_path({str(path)!r}, run_name='__main__')\n"
+    )
+
+
 class TestDepthCertificateScript:
     def test_wrong_anchor_distance_fails_under_optimize(self):
         # A distance other than 6 must exit 1 even with asserts stripped.
-        path = Path(__file__).resolve().parents[1] / "scripts" / "run_depth_certificates.py"
-        script = (
-            "import runpy, sys\n"
-            "import lampgrid\n"
-            "if not sys.flags.optimize:\n"
-            "    sys.exit('not running under -O')\n"
-            "lampgrid.search_distance = lambda g, max_r: 5\n"
-            "sys.argv = ['run_depth_certificates.py', '--max-n', '1']\n"
-            f"runpy.run_path({str(path)!r}, run_name='__main__')\n"
+        script = patched_certificate_script(
+            "lampgrid.search_distance = lambda g, max_r: 5", max_n=1
         )
-        src = str(Path(lampgrid.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_script("-c", script, flags=("-O",))
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "confirmed" not in proc.stdout
+
+    def test_pins_depth_two_n_plus_one(self):
+        proc = run_script(str(SCRIPTS / "run_depth_certificates.py"), "--max-n", "2")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[1:5]]
+        assert [row[:2] + row[4:6] for row in rows] == [
+            ["1", "2", "certified", "-"],
+            ["1", "3", "failed", "s^3"],
+            ["2", "4", "certified", "-"],
+            ["2", "5", "failed", "s^5"],
+        ]
+        assert "depth(g_n) = 2n + 1 proved for n = 1..2" in proc.stdout
+
+    def test_a_certificate_past_the_depth_fails(self):
+        # A certificate at k = 2n + 1 would refute depth 2n + 1: exit 1.
+        script = patched_certificate_script(
+            "real = lampgrid.certify_depth\n"
+            "lampgrid.certify_depth = lambda n, k, **kw: real(n, min(k, 2 * n), **kw)",
+            max_n=1,
+        )
+        proc = run_script("-c", script, flags=("-O",))
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "proved" not in proc.stdout
+
+
+class TestSphereGrowthScript:
+    def test_prints_time_and_peak_rss(self):
+        proc = run_script(str(SCRIPTS / "sphere_growth.py"), "--radius", "3")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-2].split() == ["3", "240", "328", "3.43"]
+        words = lines[-1].split()
+        assert words[:2] == ["enumerated", "in"] and words[3:5] == ["peak", "RSS"]
+        assert float(words[5]) > 0 and words[6] == "MB"

@@ -406,13 +406,30 @@ class TestBudget:
         "search",
         [
             lambda: ball_with_depths(6),
+            lambda: ball_with_depths(8),
             lambda: exact_distance(make_gn(2)[0], 12),
             lambda: search_distance(make_gn(2)[0], 12),
             lambda: cold_tour(random_element(24, 3)),
         ],
-        ids=["ball", "distance", "distance-search", "distance-wide-tour"],
+        ids=["ball", "ball-8", "distance", "distance-search", "distance-wide-tour"],
     )
     def test_charge_covers_traced_peak(self, monkeypatch, search):
+        (budget,), peak = self.traced(monkeypatch, search)
+        assert self.charged(budget) >= peak
+
+    def test_certify_charge_covers_traced_peak(self, monkeypatch):
+        # The ball's budget holds the search and what certify keeps per
+        # layer; one fresh witness at a time lives beside it.
+        (ball, *witnesses), peak = self.traced(monkeypatch, lambda: certify_depth(4, 6))
+        assert witnesses
+        assert self.charged(ball) + max(map(self.charged, witnesses)) >= peak
+
+    @staticmethod
+    def charged(budget) -> int:
+        return budget.limit_mb * 2**20 - budget.left
+
+    @staticmethod
+    def traced(monkeypatch, search):
         budgets = []
 
         class Recording(metric._Budget):
@@ -427,8 +444,7 @@ class TestBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        (budget,) = budgets
-        assert budget.limit_mb * 2**20 - budget.left >= peak
+        return budgets, peak
 
 
 class TestBallAndSpheres:
@@ -451,6 +467,11 @@ class TestBallAndSpheres:
     def test_memory_cap(self):
         with pytest.raises(MemoryCapExceeded):
             ball_with_depths(4, memory_limit_mb=0)
+
+    def test_equal_lamp_sets_and_positions_are_one_object(self):
+        ball = list(ball_with_depths(5))
+        for values in ([g.lamps for g in ball], [g.pos for g in ball]):
+            assert len({id(value) for value in values}) == len(set(values))
 
     def test_expansion_prepends_each_move(self):
         # The children of every state of B(5), one state at a time: each
