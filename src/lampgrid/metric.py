@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from functools import reduce
-from itertools import chain
-from operator import xor
+from itertools import chain, product
 from sys import getsizeof
 
 from .core import (
     Element,
+    LampSet,
     Pos,
     identity,
     multiply,
@@ -90,6 +89,11 @@ _WALK_COST = _POINTER_COST
 # Frames, generators, the path and the word of one witness: about 3 kB by
 # tracemalloc, rounded up.
 _SOLVE_COST = 4096
+# What a search holds beside its states: its frames, lists and tables
+# before they grow, and the press effects it caches.  B(2) from a cold
+# cache, 88 states, traces about 8 kB above their charge, the most of any
+# ball; rounded up.
+_SEARCH_COST = 12 * 1024
 
 
 class RadiusExceeded(RuntimeError):
@@ -276,16 +280,32 @@ def tour_lower_bound(n: int) -> int:
 _MOVES = tuple(el for _, el in move_elements())
 _MOVE_RUNS = tuple(((letter, 1),) for letter, _ in move_elements())
 
-# Prepending a move re-presses each of its lamps at the state's position,
-# as `multiply` does, and the moves light lamps at only four offsets from
-# the origin, _OFFSETS.  So a state's children need at most four press
-# effects.  _TOGGLES holds each distinct nonempty lamp set of a move, as
-# indices into _OFFSETS, and _STEPS each move's step with the index of its
-# lamp set in _TOGGLES, or -1 if it lights none.
-_OFFSETS = tuple(sorted({lamp for mv in _MOVES for lamp in mv.lamps}))
-_LAMP_SETS = list(dict.fromkeys(mv.lamps for mv in _MOVES if mv.lamps))
-_TOGGLES = tuple(tuple(map(_OFFSETS.index, lamps)) for lamps in _LAMP_SETS)
-_STEPS = tuple((mv.pos, _LAMP_SETS.index(mv.lamps) if mv.lamps else -1) for mv in _MOVES)
+
+def _single_press(lamps: LampSet) -> Pos:
+    """The unit offset d whose one press toggles exactly ``lamps``.
+
+    Prepending a move re-presses each of its lamps at the state's position,
+    as `multiply` does.  Pressing at d is pressing every lamp of
+    press_effect(d), at any translate, so when press_effect(d) is the
+    move's lamp set, re-pressing that set at (p, q) is the one press at
+    (p, q) + d.  By the split relation of press_effect each lamp set of a
+    move has such a d: {(0, 0), (0, 1)} is the press at (1, 0), for one.
+    """
+    for d in product((-1, 0, 1), repeat=2):
+        if press_effect(d) == lamps:
+            return d
+    raise RuntimeError(f"the lamps {sorted(lamps)} of a move are no single press")
+
+
+# _LAMP_SETS holds each distinct nonempty lamp set of a move and _PRESSES
+# its offset, _SHIFTS each distinct step, and _STEPS each move's index into
+# _SHIFTS with the index of its lamp set, or -1 if it lights none.
+_LAMP_SETS = tuple(dict.fromkeys(mv.lamps for mv in _MOVES if mv.lamps))
+_PRESSES = tuple(map(_single_press, _LAMP_SETS))
+_SHIFTS = tuple(dict.fromkeys(mv.pos for mv in _MOVES))
+_STEPS = tuple(
+    (_SHIFTS.index(mv.pos), _LAMP_SETS.index(mv.lamps) if mv.lamps else -1) for mv in _MOVES
+)
 
 _IDENTITY = identity()
 
@@ -312,25 +332,25 @@ class _Budget:
         if self.left < 0:
             raise MemoryCapExceeded(f"{self.search} exceeds the {self.limit_mb} MiB cap")
 
-    def charge(self, g: Element) -> Element:
-        """Charge a new state ``g`` and return it, built from the table's copies.
+    def charge(self, state: tuple[LampSet, Pos]) -> Element:
+        """Charge a new state (lamps, pos) and return it as an :class:`Element`.
 
-        The state is charged its :class:`Element` and its slot in a depth
-        table.  Its lamp set and position are charged only when they first
-        enter the table, with their slot there.
+        The element is built from the table's copies of its lamp set and
+        position.  The state is charged its :class:`Element` and its slot in
+        a depth table.  Its lamp set and position are charged only when they
+        first enter the table, with their slot there.
         """
         table = self.table
         size = _STATE_COST
-        lamps = table.get(g.lamps)
-        if lamps is None:
-            lamps = table[g.lamps] = g.lamps
+        lamps, pos = state
+        if lamps not in table:
+            table[lamps] = lamps
             size += _SLOT_COST + getsizeof(lamps) + _PAIR_COST * len(lamps)
-        pos = table.get(g.pos)
-        if pos is None:
-            pos = table[g.pos] = g.pos
+        if pos not in table:
+            table[pos] = pos
             size += _SLOT_COST + _PAIR_COST
         self.spend(size)
-        return Element(lamps, pos)
+        return Element(table[lamps], table[pos])
 
 
 def _expand_layer(
@@ -342,27 +362,35 @@ def _expand_layer(
 ) -> list[Element]:
     """Next breadth-first layer: prepend every move to every frontier state.
 
-    States not yet in ``depths`` are charged to ``budget``, which swaps in
-    its copies of their lamp sets and positions, recorded in ``depths`` at
-    ``layer`` and returned in expansion order.  The children of a state
-    are ``multiply(mv, state)`` for the moves ``mv`` of ``_MOVES``, in that
-    order, built from one lookup of each press effect they share: the
-    effects at the state's position plus each of ``_OFFSETS``, XORed into
-    the state's lamps once per set of ``_TOGGLES``, and paired with each
-    move's step by ``_STEPS``.  Given ``origins``, each new state also appends
-    there where it came from: ``len(_MOVES) * i + m`` for its first parent
-    ``frontier[i]`` and the move ``_MOVES[m]``, so that the state is
-    ``_MOVES[m] * frontier[i]``.
+    States not yet in ``depths`` are charged to ``budget``, which builds
+    them from its copies of their lamp sets and positions, recorded in
+    ``depths`` at ``layer`` and returned in expansion order.  The children
+    of a state are ``multiply(mv, state)`` for the moves ``mv`` of
+    ``_MOVES``, in that order.  Each lamp set a move can toggle is one
+    press at the state's position plus an offset of ``_PRESSES``, so a
+    state takes seven press lookups, each XORed into its lamps once, and
+    its five child positions, its own plus each step of ``_SHIFTS``;
+    ``_STEPS`` pairs them per move.  ``depths`` is probed with plain
+    (lamps, pos) pairs, so only a new state becomes an :class:`Element`.
+    Given ``origins``, each new state also appends there where it came
+    from: ``len(_MOVES) * i + m`` for its first parent ``frontier[i]`` and
+    the move ``_MOVES[m]``, so that the state is ``_MOVES[m] * frontier[i]``.
+
+    A state is expanded only if all seven presses are within
+    ``PRESS_LAMP_LIMIT``, else ``ValueError``; the presses at offsets
+    (1, 0) and (1, -1) can exceed it where the state's own press does not.
+    At (2^21 - 2, q), say, the press there toggles 2^20 lamps and the one
+    at (2^21 - 1, q) 2^21, so a search that expands such a state raises.
     """
     nxt: list[Element] = []
     width = len(_MOVES)
     charge = budget.charge
     for i, (lamps, (p, q)) in enumerate(frontier):
-        effects = [press_effect((p + dp, q + dq)) for dp, dq in _OFFSETS]
-        lit = [lamps ^ reduce(xor, [effects[j] for j in toggle]) for toggle in _TOGGLES]
+        lit = [lamps ^ press_effect((p + dp, q + dq)) for dp, dq in _PRESSES]
         lit.append(lamps)
-        for m, ((dp, dq), toggle) in enumerate(_STEPS):
-            child = Element(lit[toggle], (p + dp, q + dq))
+        shifted = [(p + dp, q + dq) for dp, dq in _SHIFTS]
+        for m, (shift, press) in enumerate(_STEPS):
+            child = (lit[press], shifted[shift])
             if child not in depths:
                 child = charge(child)
                 depths[child] = layer
@@ -385,7 +413,8 @@ def ball_with_depths(
     deterministic.  Equal lamp sets and equal positions are held once
     across the ball (:class:`_Budget`), so a state costs its
     :class:`Element` and its slot in the mapping, plus its lamp set and
-    position only where no earlier state has them.  Raises
+    position only where no earlier state has them, and the ball a fixed
+    ``_SEARCH_COST`` for what it holds beside its states.  Raises
     :class:`MemoryCapExceeded` when the stored states outgrow
     ``memory_limit_mb`` (default ``DEFAULT_MEMORY_LIMIT_MB``, read at call
     time).  Given ``on_layer``, each new layer is passed to it as
@@ -396,6 +425,7 @@ def ball_with_depths(
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     budget = _Budget(memory_limit_mb, f"ball of radius {radius}")
+    budget.spend(_SEARCH_COST)
     frontier = [budget.charge(_IDENTITY)]
     depths: dict[Element, int] = {frontier[0]: 0}
     for depth in range(1, radius + 1):
@@ -571,11 +601,13 @@ def search_distance(g: Element, max_r: int, memory_limit_mb: int | None = None) 
     :class:`RadiusExceeded` past ``max_r`` and :class:`MemoryCapExceeded`
     when the states of both sides outgrow ``memory_limit_mb`` (default
     ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).  The two sides share
-    one budget, so equal lamp sets and positions are held once across both.
+    one budget, so equal lamp sets and positions are held once across both,
+    and the search is charged ``_SEARCH_COST`` once.
     """
     budget = _Budget(memory_limit_mb, f"distance search to radius {max_r}")
     if g == _IDENTITY:
         return 0
+    budget.spend(_SEARCH_COST)
     frontier_a = [budget.charge(_IDENTITY)]
     frontier_b = [budget.charge(g)]
     dist_a: dict[Element, int] = {frontier_a[0]: 0}
@@ -613,6 +645,8 @@ class DepthCertificate:
     parent whose bound has reached 6n, the anchor first among them as the
     parent of B(1), is measured once by :func:`exact_distance`, and only
     the children of one whose length is exactly 6n are measured afresh.
+    The anchor sits at the origin, so each neighbour's translate is its
+    lamps XOR the anchor's, at its own position: no product is formed.
     """
 
     n: int
@@ -673,16 +707,24 @@ def _bound_layer(
     Returns the bounds, and the first b, in layer order, whose translate
     is proved longer than ``radius`` (bounding stops there), or None when
     there is none.
+
+    The anchor must sit at the origin, as the involution check of
+    :func:`certify_depth` proves (u*u = 1 forces 2 * u.pos = 0).  Then
+    ``multiply(b, anchor)`` re-presses b's lamps where they lie, on the
+    lampstand, and each such press toggles just its own lamp: b * anchor
+    is b's lamps XOR the anchor's, at b's position, one XOR per translate.
     """
     width = len(_MOVES)
+    lit = anchor.lamps
     bounds: list[int] = []
     last = -1
     for b, origin in zip(layer, origins):
         i, m = divmod(origin, width)
-        translate = multiply(b, anchor)
+        translate = Element(b.lamps ^ lit, b.pos)
         if i != last:
             # Recomputed per parent, so the frontier holds no translates.
-            parent_translate = multiply(parents[i], anchor)
+            parent = parents[i]
+            parent_translate = Element(parent.lamps ^ lit, parent.pos)
             bound = parent_bounds[i]
             if bound >= radius:
                 bound = exact_distance(parent_translate, radius, memory_limit_mb)

@@ -37,6 +37,7 @@ from lampgrid import (
     witness_word,
 )
 from lampgrid import metric
+from lampgrid.core import press_size
 from lampgrid.metric import MemoryCapExceeded
 from lampgrid.words import lampstand_points
 
@@ -405,13 +406,17 @@ class TestBudget:
     @pytest.mark.parametrize(
         "search",
         [
+            *(lambda r=r: ball_with_depths(r) for r in range(1, 6)),
             lambda: ball_with_depths(6),
             lambda: ball_with_depths(8),
             lambda: exact_distance(make_gn(2)[0], 12),
             lambda: search_distance(make_gn(2)[0], 12),
             lambda: cold_tour(random_element(24, 3)),
         ],
-        ids=["ball", "ball-8", "distance", "distance-search", "distance-wide-tour"],
+        ids=[
+            *(f"ball-{r}" for r in range(1, 6)),
+            "ball", "ball-8", "distance", "distance-search", "distance-wide-tour",
+        ],
     )
     def test_charge_covers_traced_peak(self, monkeypatch, search):
         (budget,), peak = self.traced(monkeypatch, search)
@@ -438,6 +443,9 @@ class TestBudget:
                 budgets.append(self)
 
         monkeypatch.setattr(metric, "_Budget", Recording)
+        # A cold press cache, so that the effects a search caches are traced
+        # too; on the smallest balls only the fixed cost per search pays.
+        press_effect.cache_clear()
         tracemalloc.start()
         try:
             search()
@@ -508,6 +516,34 @@ class TestBallAndSpheres:
         assert list(ball.items()) == list(expected.items())
         assert seen == expected_origins
         assert sphere_sizes(6) == [1, 17, 70, 240, 722, 2000, 5234]
+
+
+# States near +/-2^31 where every press of an expansion toggles few lamps.
+FAR_STATES = [(-(2**31), 3), (2**30 + 1, -7), (1 - 2**31, 1 - 2**31), (5, 2**31)]
+
+
+class TestPressTable:
+    def test_each_move_toggles_one_press(self):
+        # Re-pressing a move's lamps at a state's position, as multiply
+        # does, is the one press the table names for the move.
+        for p, q in FAR_STATES:
+            assert max(press_size((p + dp, q + dq)) for dp, dq in metric._PRESSES) <= 4
+        positions = [(p, q) for p in range(-8, 9) for q in range(-8, 9)] + FAR_STATES
+        for p, q in positions:
+            for mv, (shift, press) in zip(metric._MOVES, metric._STEPS):
+                assert metric._SHIFTS[shift] == mv.pos
+                toggled = frozenset()
+                for lp, lq in mv.lamps:
+                    toggled ^= press_effect((p + lp, q + lq))
+                if press < 0:
+                    assert toggled == frozenset()
+                else:
+                    dp, dq = metric._PRESSES[press]
+                    assert toggled == press_effect((p + dp, q + dq)), (mv, p, q)
+
+    def test_a_lamp_set_that_is_no_press_is_refused(self):
+        with pytest.raises(RuntimeError, match="no single press"):
+            metric._single_press(frozenset({(0, 0), (0, 2)}))
 
 
 class TestMakeGn:
@@ -625,6 +661,22 @@ class TestCertifyDepth:
                 format_word(canonical_word(escaped[0])) if escaped else None,
             )
             assert certify_depth(n, k) == expected, (n, k)
+
+    @pytest.mark.parametrize("n, k", [(3, 6), (1, 3)], ids=["certified", "failed"])
+    def test_translates_are_not_multiplied(self, monkeypatch, n, k):
+        # Only the anchor's involution check multiplies; every translate
+        # b * anchor is one XOR of lamp sets.
+        calls = []
+        product = metric.multiply
+
+        def counted(*args):
+            calls.append(args)
+            return product(*args)
+
+        monkeypatch.setattr(metric, "multiply", counted)
+        certify_depth(n, k)
+        anchor, _ = make_gn(n)
+        assert calls == [(anchor, anchor)]
 
     def test_an_extension_that_does_not_replay_is_refused(self, monkeypatch):
         # Skipping the letter leaves the parent's translate, never b's.
