@@ -17,8 +17,9 @@ The action is regular, so a group element is determined by its effect on
 the empty state.  :class:`Element` stores exactly that: the set of lamps
 left lit and the net translation.  All operations here are pure; values
 are immutable and safe to share across threads.  The one cache,
-``press_effect``'s ``lru_cache``, holds at most a constant number of
-entries.
+``press_effect``'s ``lru_cache``, holds at most 1024 entries and about
+``PRESS_LAMP_LIMIT`` lamps in all; the lamp bound assumes one thread
+pressing at a time (see the comment at ``press_effect``).
 """
 
 from __future__ import annotations
@@ -94,11 +95,37 @@ def press_size(pos: Pos) -> int:
 PRESS_LAMP_LIMIT = 2**20
 
 
-# The only cache in the package.  Searches press at a few thousand distinct
-# positions (about 3,200 in the hexagon benchmark) but up to some 10^6 times,
-# and a cached call is about ten times cheaper than the closed form; the
-# constant bound keeps memory flat for any input.
-@lru_cache(maxsize=4096)
+# The only cache in the package.  A cached call is about ten times cheaper
+# than the closed form, and searches press each position many times but at
+# few positions: a ball B(r) presses at about 2(r+1)^2.  Each job's press
+# calls, replayed through an LRU of each size, miss this often:
+#
+#     job                      calls   4096 entries   1024 entries
+#     certify_depth(6, 6)     36,507            113            113
+#     certify_depth(4, 9)    444,151            200            200
+#     certify_depth(5, 10) 1,416,528            251            251
+#     certify_depth(6, 12) 7,170,993            340            340
+#     distance benchmark         474             21             21
+#     hexagon benchmark       25,374          4,775          6,486
+#
+# A search misses each distinct press once at either size.  The hexagon
+# benchmark's extra misses are presses that later texts of its batch happen
+# to share; each witness's replay reuses its own presses at once.  The cache
+# is bounded in lamps too, in the body: a miss that takes the lamps built
+# since the last clear past PRESS_LAMP_LIMIT clears it first, so between
+# calls it holds at most that many lamps, where 1024 entries alone could
+# hold 1024 times as many.  The count is not lowered when the LRU evicts,
+# so many small misses clear it too (hexagon builds 98,986 lamps in its
+# 6,486).  The trade: a job whose presses together pass the limit misses
+# presses it would have hit.  Five evaluations of "a t " * 100 + "s^16383"
+# (100 presses of 2^14 lamps) miss 508 times, not 108: 1.6 -> 3.7 s, and
+# 217 -> 147 MB peak RSS.  search_distance(s^131071, 4) presses 34
+# positions, 1,048,620 lamps, and misses 61 times, not 34: 4.1 -> 5.4 s
+# and 332 -> 399 MB, since its states keep the cleared effects' lamps and
+# the rebuilt effects are new copies.  The count is a plain global, so
+# concurrent misses can lose an update: with several threads pressing the
+# lamp bound is approximate; the effects returned are not affected.
+@lru_cache(maxsize=1024)
 def press_effect(pos: Pos) -> LampSet:
     """Set of lamps toggled by pressing the button at ``pos``.
 
@@ -129,13 +156,27 @@ def press_effect(pos: Pos) -> LampSet:
                 f"a press at {pos} toggles {size} lamps, over the limit of {PRESS_LAMP_LIMIT}"
             )
     if p >= 0:
-        return frozenset((0, q + r) for r in _odd_binomials(p, p + 1))
-    lamps = [(p + i, 0) for i in _odd_binomials(q, -p)]
-    if q < 0:
-        lamps += [(0, q + r) for r in _odd_binomials(p, -q)]
+        effect = frozenset((0, q + r) for r in _odd_binomials(p, p + 1))
     else:
-        lamps += [(0, q + p - r) for r in _odd_binomials(p, q + p + 1)]
-    return frozenset(lamps)
+        lamps = [(p + i, 0) for i in _odd_binomials(q, -p)]
+        if q < 0:
+            lamps += [(0, q + r) for r in _odd_binomials(p, -q)]
+        else:
+            lamps += [(0, q + p - r) for r in _odd_binomials(p, q + p + 1)]
+        effect = frozenset(lamps)
+    global _cached_lamps
+    _cached_lamps += len(effect)
+    if _cached_lamps > PRESS_LAMP_LIMIT:
+        _clear_press_cache()
+        _cached_lamps = len(effect)
+    return effect
+
+
+# Lamps built by misses since the cache was last cleared here, at least the
+# lamps it holds.  The clear is bound once, so that it reaches the cache even
+# when ``press_effect`` is rebound to a wrapper (a tracer's, say).
+_cached_lamps = 0
+_clear_press_cache = press_effect.cache_clear
 
 
 class Element(NamedTuple):

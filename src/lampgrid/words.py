@@ -64,9 +64,15 @@ class Letter(NamedTuple):
 
 Run = tuple[Letter, int]
 
-_LETTERS = {
-    alphabet: frozenset(Letter(base, sign) for base in bases for sign in (1, -1))
+# Each base's (positive, inverse) letters per alphabet, built once, so that
+# :func:`parse` looks a token's letter up instead of building it.
+_BASE_LETTERS = {
+    alphabet: {base: (Letter(base, 1), Letter(base, -1)) for base in bases}
     for alphabet, bases in ((PRESENTATION, PRESENTATION_BASES), (METRIC, METRIC_BASES))
+}
+_LETTERS = {
+    alphabet: frozenset(letter for pair in table.values() for letter in pair)
+    for alphabet, table in _BASE_LETTERS.items()
 }
 
 
@@ -130,9 +136,9 @@ def parse(text: str, alphabet: str = METRIC) -> Word:
     text made only of the characters ``astAST`` with no separators is read
     compactly, uppercase meaning inverse.
     """
-    if alphabet not in (PRESENTATION, METRIC):
+    if alphabet not in _BASE_LETTERS:
         raise ValueError(f"unknown alphabet tag {alphabet!r}")
-    bases = PRESENTATION_BASES if alphabet == PRESENTATION else METRIC_BASES
+    letters = _BASE_LETTERS[alphabet]
     text = text.strip()
     if alphabet == PRESENTATION and text and _COMPACT_RE.fullmatch(text):
         return Word.from_letters(
@@ -141,7 +147,8 @@ def parse(text: str, alphabet: str = METRIC) -> Word:
     pairs: list[Run] = []
     for token in text.split():
         base, caret, exponent_text = token.partition("^")
-        if base not in bases:
+        pair = letters.get(base)
+        if pair is None:
             raise WordError(f"unknown base token {base!r}")
         if caret:
             try:
@@ -150,9 +157,9 @@ def parse(text: str, alphabet: str = METRIC) -> Word:
                 raise WordError(f"malformed exponent in token {token!r}") from None
             if abs(exponent) > COORD_LIMIT:
                 raise WordError(f"exponent in token {token!r} exceeds +/-2^31")
+            pairs.append((pair[exponent < 0], abs(exponent)))
         else:
-            exponent = 1
-        pairs.append(_power(base, exponent))
+            pairs.append((pair[0], 1))
     return Word(merge_runs(pairs), alphabet)
 
 

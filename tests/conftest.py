@@ -1,11 +1,21 @@
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
-from lampgrid import Element, Letter, METRIC, Word
+from lampgrid import Element, Letter, METRIC, Word, core
 from lampgrid.words import METRIC_BASES, lampstand_points
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def cold_press_cache(monkeypatch):
+    """An empty press cache whose count of lamps built starts again at 0."""
+    core.press_effect.cache_clear()
+    monkeypatch.setattr(core, "_cached_lamps", 0)
+    yield
+    core.press_effect.cache_clear()
 
 
 @st.composite

@@ -17,6 +17,7 @@ from lampgrid import (
     parse,
     press_effect,
 )
+from lampgrid import core
 from lampgrid.core import PRESS_LAMP_LIMIT, _count_odd_binomials, _odd_binomials, press_size
 from lampgrid.words import RELATORS, SPLIT_LEFT, SPLIT_RIGHT, act_runs
 
@@ -130,8 +131,22 @@ class TestPressEffect:
         for pos in ((p + 1, q), (p, q), (p, q + 1)):
             assert obeys_half_planes(*pos)
 
-    def test_cache_is_bounded(self):
-        assert press_effect.cache_info().maxsize is not None
+    def test_cache_is_bounded(self, cold_press_cache):
+        # 2,000 distinct one-lamp presses: the cache keeps the last 1024.
+        for q in range(2000):
+            press_effect((0, q))
+        info = press_effect.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (2000, 1024, 1024)
+
+    def test_cache_is_bounded_in_lamps(self, cold_press_cache, monkeypatch):
+        # Presses of 8 lamps each under a limit of 64: the ninth miss clears
+        # the cache, so it never holds more than eight of them.
+        monkeypatch.setattr(core, "PRESS_LAMP_LIMIT", 64)
+        held = []
+        for q in range(40):
+            assert press_effect((7, q)) == {(0, q + r) for r in range(8)}
+            held.append(press_effect.cache_info().currsize)
+        assert held == [1, 2, 3, 4, 5, 6, 7, 8] * 5
 
 
 class TestPressSize:

@@ -481,6 +481,17 @@ class TestBallAndSpheres:
         for values in ([g.lamps for g in ball], [g.pos for g in ball]):
             assert len({id(value) for value in values}) == len(set(values))
 
+    def test_ball_misses_each_press_position_once(self, cold_press_cache):
+        # Each expanded state presses at its position plus each offset of
+        # _PRESSES; the cache keeps every one of them for the whole ball.
+        ball = ball_with_depths(8)
+        pressed = {
+            (p + dp, q + dq)
+            for (p, q) in {g.pos for g, depth in ball.items() if depth < 8}
+            for dp, dq in metric._PRESSES
+        }
+        assert press_effect.cache_info().misses == len(pressed)
+
     def test_expansion_prepends_each_move(self):
         # The children of every state of B(5), one state at a time: each
         # move's product, first occurrences only, with its move as origin.

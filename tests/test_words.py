@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -77,6 +78,8 @@ class TestParse:
 
     def test_zero_exponent_omits(self):
         assert parse("s^0 a", METRIC).letters == (Letter("a", 1),)
+        # Dropped before neighbours merge: "s s^0 s" is one run s^2.
+        assert parse("s s^0 s", METRIC).runs == ((Letter("s", 1), 2),)
 
     def test_compact_mode(self):
         word = parse("asT", PRESENTATION)
@@ -88,6 +91,13 @@ class TestParse:
     def test_oversized_exponent(self):
         with pytest.raises(WordError, match="2\\^31"):
             parse("s^99999999999", METRIC)
+
+    def test_exponent_limit_is_inclusive(self):
+        assert parse("s^2147483648 t^-2147483648", METRIC).runs == (
+            (Letter("s", 1), 2**31), (Letter("t", -1), 2**31)
+        )
+        with pytest.raises(WordError, match="2\\^31"):
+            parse("s^-2147483649", METRIC)
 
     def test_long_power_evaluates_quickly(self):
         start = time.perf_counter()
@@ -349,6 +359,22 @@ class TestEvaluate:
     @given(metric_words(max_len=15))
     def test_word_inverse(self, word):
         assert evaluate(inverse_word(word)) == inverse(evaluate(word))
+
+    def test_press_cache_holds_about_the_lamp_limit(self, cold_press_cache, monkeypatch):
+        # 200 distinct presses at (7991..8190, 0), of 2^6 to 2^12 lamps each:
+        # under a limit of 2^14 lamps the cache keeps a few of them, where
+        # 1024 entries alone would keep all 200 (about 24 MiB).
+        monkeypatch.setattr(core, "PRESS_LAMP_LIMIT", 2**14)
+        word = parse("a s^-1 " * 200 + "s^8191", PRESENTATION)
+        tracemalloc.start()
+        try:
+            g = evaluate(word)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * 2**20
+        assert len(g.lamps) == 7168
+        assert g == fold_letters(word.letters, identity())
 
 
 class TestALength:
