@@ -40,7 +40,6 @@ from .words import (
     Word,
     WordError,
     a_length,
-    canonical_word,
     concat,
     evaluate,
     format_word,
@@ -62,7 +61,6 @@ __all__ = [
     "WordError",
     "a_length",
     "ball_with_depths",
-    "canonical_word",
     "certify_depth",
     "concat",
     "element_from_json",

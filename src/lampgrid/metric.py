@@ -17,8 +17,9 @@ anchor g_n of :func:`make_gn` needs exactly 6n.  :func:`certify_depth`
 bounds every neighbour of g_n within distance k as it searches them:
 below by the half-plane lemma, above by a replayed word, either a fresh
 witness or a replayed parent word plus one letter.  So both of its
-verdicts are proofs: depth > k when all stay within 6n, depth <= k when
-one leaves.  For n <= 6 the two meet at depth(g_n) = 2n + 1.
+verdicts are proofs: depth > k when all stay within 6n, depth = |b| for
+the first b, in breadth-first order, that leaves.  For n <= 6 that b is
+s^(2n+1): depth(g_n) = 2n + 1.
 
 Breadth-first searches here are sequential and deterministic: given the
 same inputs they produce identical counts and certificates.
@@ -41,17 +42,17 @@ from .core import (
 )
 from .words import (
     ACTIONS,
-    EMPTY_METRIC,
+    EMPTY,
     METRIC,
     Letter,
     Word,
     a_length,
     act_runs,
-    canonical_word,
     evaluate,
     format_word,
     merge_runs,
     move_elements,
+    parse,
 )
 
 DEFAULT_MEMORY_LIMIT_MB = 2048
@@ -141,7 +142,7 @@ _MOVE_LETTERS: dict[tuple[Pos, bool, bool], Letter] = {
 
 
 # The one-letter word of the origin press.
-_PRESS = Word(((Letter("a", 1), 1),), METRIC)
+_PRESS = Word(((Letter("a", 1), 1),))
 
 
 def _walk_to(path: list[Pos], target: Pos) -> None:
@@ -194,12 +195,12 @@ def _word_from_path(path: list[Pos], presses: set[Pos]) -> Word:
     if pending:
         raise RuntimeError(f"press position {min(pending)} is not on the planned path")
     if not chrono:
-        return _PRESS if start_pressed else EMPTY_METRIC
+        return _PRESS if start_pressed else EMPTY
     if start_pressed:
         letter, count = chrono[0]
         _, step, after = ACTIONS[letter]
         chrono[:1] = [(_MOVE_LETTERS[step, True, after], 1), (letter, count - 1)]
-    return Word(merge_runs(reversed(chrono)), METRIC)
+    return Word(merge_runs(reversed(chrono)))
 
 
 def make_gn(n: int) -> tuple[Element, Word]:
@@ -222,7 +223,7 @@ def make_gn(n: int) -> tuple[Element, Word]:
         (Letter("at", 1), 1),
         (Letter("t", 1), n - 1),
     ])
-    return element, Word(runs, METRIC)
+    return element, Word(runs)
 
 
 def halfplane_bound(g: Element) -> int:
@@ -635,9 +636,10 @@ class DepthCertificate:
     ``verdict == "certified"`` means: every element within distance k of
     the anchor element has word length at most ``ball_radius`` (= 6n), so
     the anchor's dead-end depth is at least k+1.  ``verdict == "failed"``
-    means: the offset b spelled by ``failure_witness``, itself within
-    distance k, takes the anchor out of that ball, so its dead-end depth is
-    at most k.  ``max_witness_length`` is the longest replayed word the
+    means: the offset b spelled by ``failure_witness``, a geodesic of length
+    d <= k (:func:`witness_word`), takes the anchor out of that ball, and
+    every shorter offset keeps it within, so its dead-end depth is exactly
+    d.  ``max_witness_length`` is the longest replayed word the
     certifier holds for a neighbour.  It is always 6n: the neighbour b = 1
     is the anchor itself, of length exactly 6n by :func:`halfplane_bound`
     and the replayed word of :func:`make_gn`, and no bound is kept past
@@ -671,9 +673,11 @@ class DepthCertificate:
                 f"verdict: certified; dead-end depth of the anchor is at least {self.k + 1}"
             )
         else:
+            depth = a_length(parse(self.failure_witness, METRIC))
             lines.append(
                 f"verdict: FAILED at neighbour offset {self.failure_witness};"
-                f" dead-end depth of the anchor is at most {self.k}"
+                f" dead-end depth of the anchor is at most {depth}, and exactly {depth}:"
+                f" every shorter offset keeps it within {self.ball_radius}"
             )
         lines.append(
             "note: every bound is proved: halfplane_bound gives the lower side, and"
@@ -762,8 +766,9 @@ def certify_depth(
     where that length is 6n is b*u measured afresh, at radius 6n.  The
     first b, in breadth-first order, whose translate is longer than 6n
     fails the certificate; since :func:`exact_distance` raises on its
-    proved lower bound, a failure proves depth <= k.  After a failure the
-    search only counts the rest of the ball, for ``neighborhood_size``.
+    proved lower bound and every earlier layer passed, a failure proves
+    depth = |b|, the length of b's :func:`witness_word`.  After a failure
+    the search only counts the rest of the ball, for ``neighborhood_size``.
     ``memory_limit_mb`` caps the ball and each fresh witness (default
     ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).
 
@@ -791,5 +796,5 @@ def certify_depth(
     if failure is None:
         return DepthCertificate(n, k, radius, size, radius, "certified", None)
     return DepthCertificate(
-        n, k, radius, size, radius, "failed", format_word(canonical_word(failure))
+        n, k, radius, size, radius, "failed", format_word(witness_word(failure))
     )

@@ -1,16 +1,17 @@
-"""Words over the presentation and metric alphabets.
+"""Words over the metric generating set, read from two alphabets of text.
 
-Two alphabets are supported.  The presentation alphabet is ``{a, s, t}``.
-The metric alphabet is the nine-element generating set
+A letter is a base of the nine-element generating set
 
     A = {a, s, t, at, ta, ata, as, sa, asa}
 
-whose point is that a button press at a vertex the lamplighter is leaving
-or arriving at costs nothing extra.  Words are read right to left: the
-rightmost letter acts first.  A compound base acts through its written
-characters, again rightmost first, so the single letter ``at`` means
-"step in t, then press".  :func:`expand` states that rule; ``ACTIONS``
-compiles it once per letter.
+or its inverse; a press at a vertex the lamplighter is leaving or arriving
+at costs nothing extra.  A holds the presentation generators a, s and t,
+so a word keeps no alphabet: it only tells :func:`parse` how to read text,
+where ``at`` is two presentation letters or one metric letter.  Words are
+read right to left.  A compound base acts through its written characters,
+again rightmost first, so the single letter ``at`` means "step in t, then
+press".  :func:`expand` states that rule; ``ACTIONS`` compiles it once per
+letter.
 
 A :class:`Word` is stored as runs: (letter, count) pairs in written order,
 merged by :func:`merge_runs` so that no two neighbours share a letter and
@@ -70,10 +71,8 @@ _BASE_LETTERS = {
     alphabet: {base: (Letter(base, 1), Letter(base, -1)) for base in bases}
     for alphabet, bases in ((PRESENTATION, PRESENTATION_BASES), (METRIC, METRIC_BASES))
 }
-_LETTERS = {
-    alphabet: frozenset(letter for pair in table.values() for letter in pair)
-    for alphabet, table in _BASE_LETTERS.items()
-}
+# The 18 letters a word may hold.
+_LETTERS = frozenset(letter for pair in _BASE_LETTERS[METRIC].values() for letter in pair)
 
 
 def merge_runs(pairs) -> tuple[Run, ...]:
@@ -94,26 +93,22 @@ def merge_runs(pairs) -> tuple[Run, ...]:
 
 @dataclass(frozen=True)
 class Word:
-    """A word as normalised runs (see :func:`merge_runs`) in written order."""
+    """Normalised runs (:func:`merge_runs`) of the 18 letters; the alphabet is a parse option."""
 
     runs: tuple[Run, ...]
-    alphabet: str
 
     def __post_init__(self):
-        if self.alphabet not in _LETTERS:
-            raise ValueError(f"unknown alphabet tag {self.alphabet!r}")
-        letters = _LETTERS[self.alphabet]
         previous = None
         for letter, count in self.runs:
-            if letter not in letters:
-                raise ValueError(f"letter {letter!r} not valid for {self.alphabet} words")
+            if letter not in _LETTERS:
+                raise ValueError(f"letter {letter!r} is not a metric letter")
             if type(count) is not int or count < 1 or letter == previous:
                 raise ValueError("runs must have counts >= 1 and no equal neighbours")
             previous = letter
 
     @classmethod
-    def from_letters(cls, letters, alphabet: str) -> Word:
-        return cls(merge_runs((letter, 1) for letter in letters), alphabet)
+    def from_letters(cls, letters) -> Word:
+        return cls(merge_runs((letter, 1) for letter in letters))
 
     @property
     def letters(self) -> tuple[Letter, ...]:
@@ -121,29 +116,23 @@ class Word:
         return tuple(letter for letter, count in self.runs for _ in range(count))
 
 
-EMPTY_METRIC = Word((), METRIC)
-
-
-def _power(base: str, exponent: int) -> Run:
-    return Letter(base, 1 if exponent >= 0 else -1), abs(exponent)
+EMPTY = Word(())
 
 
 def parse(text: str, alphabet: str = METRIC) -> Word:
     """Parse word text.
 
-    Tokens are whitespace separated, each a base with an optional ``^k``
-    exponent (negative for inverse letters, zero to omit).  Presentation
-    text made only of the characters ``astAST`` with no separators is read
-    compactly, uppercase meaning inverse.
+    Tokens are whitespace separated, each a base of ``alphabet`` with an
+    optional ``^k`` exponent (negative for inverse letters, zero to omit).
+    Presentation text made only of the characters ``astAST`` with no
+    separators is read compactly, uppercase meaning inverse.
     """
     if alphabet not in _BASE_LETTERS:
         raise ValueError(f"unknown alphabet tag {alphabet!r}")
     letters = _BASE_LETTERS[alphabet]
     text = text.strip()
     if alphabet == PRESENTATION and text and _COMPACT_RE.fullmatch(text):
-        return Word.from_letters(
-            (Letter(ch.lower(), 1 if ch.islower() else -1) for ch in text), alphabet
-        )
+        return Word.from_letters(Letter(ch.lower(), 1 if ch.islower() else -1) for ch in text)
     pairs: list[Run] = []
     for token in text.split():
         base, caret, exponent_text = token.partition("^")
@@ -160,7 +149,7 @@ def parse(text: str, alphabet: str = METRIC) -> Word:
             pairs.append((pair[exponent < 0], abs(exponent)))
         else:
             pairs.append((pair[0], 1))
-    return Word(merge_runs(pairs), alphabet)
+    return Word(merge_runs(pairs))
 
 
 def format_word(word: Word) -> str:
@@ -172,15 +161,12 @@ def format_word(word: Word) -> str:
 
 
 def concat(u: Word, v: Word) -> Word:
-    if u.alphabet != v.alphabet:
-        raise ValueError("cannot concatenate words over different alphabets")
-    return Word(merge_runs(u.runs + v.runs), u.alphabet)
+    return Word(merge_runs(u.runs + v.runs))
 
 
 def inverse_word(word: Word) -> Word:
     return Word(
-        merge_runs((Letter(base, -sign), count) for (base, sign), count in reversed(word.runs)),
-        word.alphabet,
+        merge_runs((Letter(base, -sign), count) for (base, sign), count in reversed(word.runs))
     )
 
 
@@ -199,12 +185,12 @@ def expand(word: Word) -> tuple[tuple[str, int], ...]:
 
 def _action(letter: Letter) -> tuple[bool, Pos, bool]:
     # The expansion read right to left is presses around at most one step.
-    chrono = "".join(ch for ch, _ in reversed(expand(Word(((letter, 1),), METRIC))))
+    chrono = "".join(ch for ch, _ in reversed(expand(Word(((letter, 1),)))))
     step = {"": (0, 0), "s": (letter.sign, 0), "t": (0, letter.sign)}[chrono.strip("a")]
     return chrono.startswith("a"), step, step != (0, 0) and chrono.endswith("a")
 
 
-# (press before, step, press after) of each letter of either alphabet,
+# (press before, step, press after) of each of the 18 letters,
 # compiled once from its expansion: 9 bases times 2 signs.
 ACTIONS: dict[Letter, tuple[bool, Pos, bool]] = {
     letter: _action(letter)
@@ -307,7 +293,7 @@ def _presses_exceed_limit(first: Pos, count: int) -> bool:
 
 
 def act_runs(runs, state: Element) -> Element:
-    """Act on ``state`` by written runs of either alphabet, rightmost first.
+    """Act on ``state`` by written runs, rightmost first.
 
     A run that presses nothing moves by its count times its step at once.
     A run of ``a`` (or ``a^-1``) presses once if its count is odd, since a
@@ -367,36 +353,8 @@ def evaluate(word: Word) -> Element:
 
 
 def a_length(word: Word) -> int:
-    """Number of metric letters; each letter of either sign costs one."""
-    if word.alphabet != METRIC:
-        raise ValueError("a_length is defined for metric words")
+    """Number of letters; each letter of either sign costs one."""
     return sum(count for _, count in word.runs)
-
-
-def _sorted_lamps(lamps) -> list[Pos]:
-    # Negative s-axis lamps most negative first, then t-axis lamps by index.
-    def key(lamp: Pos):
-        p, q = lamp
-        return (0, p) if q == 0 and p < 0 else (1, q)
-
-    return sorted(lamps, key=key)
-
-
-def canonical_word(g: Element) -> Word:
-    """Deterministic presentation word evaluating to ``g``.
-
-    Written left to right: the translation to ``g.pos`` (s-letters then
-    t-letters), then one press excursion per lamp.  Excursions appear in
-    reverse canonical order so that, reading right to left, the lamps are
-    visited most-negative-s first, then up the t-axis, with the final
-    translation last.
-    """
-    p, q = g.pos
-    pairs = [_power("s", p), _power("t", q)]
-    for lp, lq in reversed(_sorted_lamps(g.lamps)):
-        axis, k = ("s", lp) if lq == 0 and lp < 0 else ("t", lq)
-        pairs += [_power(axis, -k), (Letter("a", 1), 1), _power(axis, k)]
-    return Word(merge_runs(pairs), PRESENTATION)
 
 
 def lampstand_points(n: int) -> list[Pos]:

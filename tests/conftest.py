@@ -2,7 +2,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
-from lampgrid import Element, Letter, METRIC, Word, core
+from lampgrid import Element, Letter, Word, core
 from lampgrid.words import METRIC_BASES, lampstand_points
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -43,4 +43,4 @@ def metric_words(draw, max_len=20):
             max_size=max_len,
         )
     )
-    return Word.from_letters((Letter(b, s) for b, s in letters), METRIC)
+    return Word.from_letters(Letter(b, s) for b, s in letters)

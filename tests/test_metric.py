@@ -17,7 +17,6 @@ from lampgrid import (
     RadiusExceeded,
     a_length,
     ball_with_depths,
-    canonical_word,
     certify_depth,
     evaluate,
     exact_distance,
@@ -36,7 +35,7 @@ from lampgrid import (
     tour_lower_bound,
     witness_word,
 )
-from lampgrid import metric
+from lampgrid import core, metric
 from lampgrid.core import press_size
 from lampgrid.metric import MemoryCapExceeded
 from lampgrid.words import lampstand_points
@@ -112,7 +111,6 @@ class TestWitness:
     @settings(max_examples=120)
     def test_replay_and_bound(self, g):
         word = witness_word(g)
-        assert word.alphabet == METRIC
         assert evaluate(word) == g
         assert a_length(word) == halfplane_bound(g) + (g == A_ELEMENT)
         if g != A_ELEMENT:
@@ -556,6 +554,18 @@ class TestPressTable:
         with pytest.raises(RuntimeError, match="no single press"):
             metric._single_press(frozenset({(0, 0), (0, 2)}))
 
+    def test_edge_of_the_press_limit(self, cold_press_cache, monkeypatch):
+        # The edge of _expand_layer's docstring at a limit of 2^4 lamps: at
+        # (30, 0) = (2^5 - 2, 0) the state's own press toggles 16 lamps, but
+        # the one at offset (1, 0), at (31, 0), toggles 32, so expanding it
+        # raises.  From (29, 0) every press of the state is within the limit.
+        monkeypatch.setattr(core, "PRESS_LAMP_LIMIT", 16)
+        assert press_size((30, 0)) == 16
+        with pytest.raises(ValueError, match=r"press at \(31, 0\) toggles 32 lamps"):
+            search_distance(Element(frozenset(), (30, 0)), 2)
+        with pytest.raises(RadiusExceeded):
+            search_distance(Element(frozenset(), (29, 0)), 2)
+
 
 class TestMakeGn:
     def test_small_values(self):
@@ -669,7 +679,7 @@ class TestCertifyDepth:
             expected = metric.DepthCertificate(
                 n, k, 6 * n, len(inside), max(lengths[b] for b in checked),
                 "failed" if escaped else "certified",
-                format_word(canonical_word(escaped[0])) if escaped else None,
+                format_word(witness_word(escaped[0])) if escaped else None,
             )
             assert certify_depth(n, k) == expected, (n, k)
 
@@ -733,3 +743,9 @@ class TestCertifyDepth:
         assert (certificate.verdict, certificate.neighborhood_size) == ("failed", outside)
         assert certificate.failure_witness == f"s^{2 * n + 1}"
         assert f"dead-end depth of the anchor is at most {2 * n + 1}" in certificate.describe()
+        # The failing offset is spelled by its geodesic witness, so the
+        # word's length is the offset's length: the exact depth.
+        word = parse(certificate.failure_witness, METRIC)
+        assert a_length(word) == 2 * n + 1
+        assert evaluate(word) == Element(frozenset(), (2 * n + 1, 0))
+        assert f"and exactly {2 * n + 1}" in certificate.describe()
