@@ -13,7 +13,7 @@ and exact distance of every element of a ball, in the ball's order, and
 the stdout, stderr and exit code of the CLI's word commands on a fixed
 list of words in both alphabets, malformed ones included.  ``--quick``
 uses a smaller radius and fewer anchors, so that the test suite can run
-it in a few seconds.
+it in a few seconds and compare it with ``tests/data/fingerprint_quick.txt``.
 """
 
 import argparse

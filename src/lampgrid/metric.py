@@ -27,7 +27,6 @@ same inputs they produce identical counts and certificates.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from itertools import chain, product
 from sys import getsizeof
@@ -71,10 +70,10 @@ _PAIR_COST = getsizeof((0, 0))
 _SLOT_COST = getsizeof(dict.fromkeys(range(1024))) // 1024
 _INT_COST = getsizeof(2**30)
 _STATE_COST = getsizeof(identity()) + _SLOT_COST + _POINTER_COST
-# Given on_layer, a search also keeps, for each state of the layer it hands
-# over, its origin (an int and a list pointer) and a list pointer for what
-# the hook keeps per state: certify's bound, a small int Python caches.
-_HOOK_COST = _INT_COST + 2 * _POINTER_COST
+# certify_depth also keeps, for each state of the layer it bounds, its origin
+# (an int and a list pointer) and its bound (a list pointer to a small int
+# Python caches).
+_BOUND_COST = _INT_COST + 2 * _POINTER_COST
 # A press of a witness holds its position pair and coordinates, a slot in
 # each of the three press sets of the solve and the fuser, a stop pair on
 # its leg and up to two runs; on replay a lampstand press caches its
@@ -354,90 +353,94 @@ class _Budget:
         return Element(table[lamps], table[pos])
 
 
-def _expand_layer(
-    frontier: list[Element],
-    depths: dict[Element, int],
-    layer: int,
-    budget: _Budget,
-    origins: list[int] | None = None,
-) -> list[Element]:
-    """Next breadth-first layer: prepend every move to every frontier state.
+class _Search:
+    """One breadth-first search from ``start``, grown a layer at a time.
 
-    States not yet in ``depths`` are charged to ``budget``, which builds
-    them from its copies of their lamp sets and positions, recorded in
-    ``depths`` at ``layer`` and returned in expansion order.  The children
-    of a state are ``multiply(mv, state)`` for the moves ``mv`` of
-    ``_MOVES``, in that order.  Each lamp set a move can toggle is one
-    press at the state's position plus an offset of ``_PRESSES``, so a
-    state takes seven press lookups, each XORed into its lamps once, and
-    its five child positions, its own plus each step of ``_SHIFTS``;
-    ``_STEPS`` pairs them per move.  ``depths`` is probed with plain
-    (lamps, pos) pairs, so only a new state becomes an :class:`Element`.
-    Given ``origins``, each new state also appends there where it came
-    from: ``len(_MOVES) * i + m`` for its first parent ``frontier[i]`` and
-    the move ``_MOVES[m]``, so that the state is ``_MOVES[m] * frontier[i]``.
-
-    A state is expanded only if all seven presses are within
-    ``PRESS_LAMP_LIMIT``, else ``ValueError``; the presses at offsets
-    (1, 0) and (1, -1) can exceed it where the state's own press does not.
-    At (2^21 - 2, q), say, the press there toggles 2^20 lamps and the one
-    at (2^21 - 1, q) 2^21, so a search that expands such a state raises.
+    ``depths`` maps every state recorded so far to its layer, in the order
+    recorded; ``frontier`` is the last layer and ``radius`` its depth.
+    Every state is charged to ``budget``, which builds it from its copies
+    of lamp sets and positions, ``start`` first.
     """
-    nxt: list[Element] = []
-    width = len(_MOVES)
-    charge = budget.charge
-    for i, (lamps, (p, q)) in enumerate(frontier):
-        lit = [lamps ^ press_effect((p + dp, q + dq)) for dp, dq in _PRESSES]
-        lit.append(lamps)
-        shifted = [(p + dp, q + dq) for dp, dq in _SHIFTS]
-        for m, (shift, press) in enumerate(_STEPS):
-            child = (lit[press], shifted[shift])
-            if child not in depths:
-                child = charge(child)
-                depths[child] = layer
-                nxt.append(child)
-                if origins is not None:
-                    origins.append(width * i + m)
-    return nxt
+
+    def __init__(self, start: Element, budget: _Budget):
+        self.budget = budget
+        self.frontier = [budget.charge(start)]
+        self.depths: dict[Element, int] = {self.frontier[0]: 0}
+        self.radius = 0
+
+    def grow(self, origins: list[int] | None = None) -> list[Element]:
+        """Add the next layer: prepend every move to every frontier state.
+
+        States not yet in ``depths`` are charged, recorded there at the new
+        radius and returned, as the new ``frontier``, in expansion order.
+        The children of a state are ``multiply(mv, state)`` for the moves
+        ``mv`` of ``_MOVES``, in that order.  Each lamp set a move can
+        toggle is one press at the state's position plus an offset of
+        ``_PRESSES``, so a state takes seven press lookups, each XORed into
+        its lamps once, and its five child positions, its own plus each step
+        of ``_SHIFTS``; ``_STEPS`` pairs them per move.  ``depths`` is
+        probed with plain (lamps, pos) pairs, so only a new state becomes
+        an :class:`Element`.  Given ``origins``, each new state also appends
+        there where it came from: ``len(_MOVES) * i + m`` for its first
+        parent ``frontier[i]`` and the move ``_MOVES[m]``, so that the state
+        is ``_MOVES[m] * frontier[i]``.
+
+        A state is expanded only if all seven presses are within
+        ``PRESS_LAMP_LIMIT``, else ``ValueError``; the presses at offsets
+        (1, 0) and (1, -1) can exceed it where the state's own press does
+        not.  At (2^21 - 2, q), say, the press there toggles 2^20 lamps and
+        the one at (2^21 - 1, q) 2^21, so a search that expands such a
+        state raises.
+        """
+        self.radius += 1
+        depth, depths = self.radius, self.depths
+        nxt: list[Element] = []
+        width = len(_MOVES)
+        charge = self.budget.charge
+        for i, (lamps, (p, q)) in enumerate(self.frontier):
+            lit = [lamps ^ press_effect((p + dp, q + dq)) for dp, dq in _PRESSES]
+            lit.append(lamps)
+            shifted = [(p + dp, q + dq) for dp, dq in _SHIFTS]
+            for m, (shift, press) in enumerate(_STEPS):
+                child = (lit[press], shifted[shift])
+                if child not in depths:
+                    child = charge(child)
+                    depths[child] = depth
+                    nxt.append(child)
+                    if origins is not None:
+                        origins.append(width * i + m)
+        self.frontier = nxt
+        return nxt
 
 
-def ball_with_depths(
-    radius: int,
-    memory_limit_mb: int | None = None,
-    on_layer: Callable[[list[Element], list[Element], list[int]], bool] | None = None,
-) -> dict[Element, int]:
-    """All elements of word length at most ``radius``, mapped to their length.
-
-    Canonicalized breadth-first search: states are deduplicated by their
-    normal form, each new layer prepends one of the 17 moves.  Expansion
-    order is fixed, so the mapping (and its iteration order) is
-    deterministic.  Equal lamp sets and equal positions are held once
-    across the ball (:class:`_Budget`), so a state costs its
-    :class:`Element` and its slot in the mapping, plus its lamp set and
-    position only where no earlier state has them, and the ball a fixed
-    ``_SEARCH_COST`` for what it holds beside its states.  Raises
-    :class:`MemoryCapExceeded` when the stored states outgrow
-    ``memory_limit_mb`` (default ``DEFAULT_MEMORY_LIMIT_MB``, read at call
-    time).  Given ``on_layer``, each new layer is passed to it as
-    ``on_layer(frontier, layer, origins)``, with the origins of
-    :func:`_expand_layer`, until it returns False; each state of such a
-    layer is also charged its origin and one value the hook keeps for it.
-    """
+def _ball(radius: int, memory_limit_mb: int | None) -> _Search:
+    """A search from the identity, on its own budget for a ball of ``radius``."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     budget = _Budget(memory_limit_mb, f"ball of radius {radius}")
     budget.spend(_SEARCH_COST)
-    frontier = [budget.charge(_IDENTITY)]
-    depths: dict[Element, int] = {frontier[0]: 0}
-    for depth in range(1, radius + 1):
-        origins = None if on_layer is None else []
-        layer = _expand_layer(frontier, depths, depth, budget, origins)
-        if on_layer is not None:
-            budget.spend(_HOOK_COST * len(layer))
-            if not on_layer(frontier, layer, origins):
-                on_layer = None
-        frontier = layer
-    return depths
+    return _Search(_IDENTITY, budget)
+
+
+def ball_with_depths(radius: int, memory_limit_mb: int | None = None) -> dict[Element, int]:
+    """All elements of word length at most ``radius``, mapped to their length.
+
+    Canonicalized breadth-first search: states are deduplicated by their
+    normal form, each new layer prepends one of the 17 moves
+    (:meth:`_Search.grow`).  Expansion order is fixed, so the mapping (and
+    its iteration order) is deterministic.  Equal lamp sets and equal
+    positions are held once across the ball (:class:`_Budget`), so a state
+    costs its :class:`Element` and its slot in the mapping, plus its lamp
+    set and position only where no earlier state has them, and the ball a
+    fixed ``_SEARCH_COST`` for what it holds beside its states.  Raises
+    :class:`MemoryCapExceeded` when the stored states outgrow
+    ``memory_limit_mb`` (default ``DEFAULT_MEMORY_LIMIT_MB``, read at call
+    time).
+    """
+    search = _ball(radius, memory_limit_mb)
+    while search.radius < radius:
+        search.grow()
+    return search.depths
 
 
 def sphere_sizes(
@@ -603,29 +606,22 @@ def search_distance(g: Element, max_r: int, memory_limit_mb: int | None = None) 
     when the states of both sides outgrow ``memory_limit_mb`` (default
     ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).  The two sides share
     one budget, so equal lamp sets and positions are held once across both,
-    and the search is charged ``_SEARCH_COST`` once.
+    and the search is charged ``_SEARCH_COST`` once.  Each side is a
+    :class:`_Search`; the smaller frontier grows, side a on a tie.
     """
     budget = _Budget(memory_limit_mb, f"distance search to radius {max_r}")
     if g == _IDENTITY:
         return 0
     budget.spend(_SEARCH_COST)
-    frontier_a = [budget.charge(_IDENTITY)]
-    frontier_b = [budget.charge(g)]
-    dist_a: dict[Element, int] = {frontier_a[0]: 0}
-    dist_b: dict[Element, int] = {frontier_b[0]: 0}
-    radius_a = radius_b = 0
-    while radius_a + radius_b < max_r:
-        if len(frontier_a) <= len(frontier_b):
-            radius_a += 1
-            frontier_a = _expand_layer(frontier_a, dist_a, radius_a, budget)
-            new, other = frontier_a, dist_b
+    a, b = _Search(_IDENTITY, budget), _Search(g, budget)
+    while a.radius + b.radius < max_r:
+        if len(a.frontier) <= len(b.frontier):
+            new, other = a.grow(), b
         else:
-            radius_b += 1
-            frontier_b = _expand_layer(frontier_b, dist_b, radius_b, budget)
-            new, other = frontier_b, dist_a
+            new, other = b.grow(), a
         # No earlier layer met, so any meeting here gives |g| = r_a + r_b.
-        if any(state in other for state in new):
-            return radius_a + radius_b
+        if any(state in other.depths for state in new):
+            return a.radius + b.radius
     raise RadiusExceeded(max_r)
 
 
@@ -698,7 +694,7 @@ def _bound_layer(
 ) -> tuple[Element | None, list[int]]:
     """Upper bounds on |b * anchor| for the b of ``layer``, in its order.
 
-    ``origins`` comes from :func:`_expand_layer`: b = m * parent for a move
+    ``origins`` comes from :meth:`_Search.grow`: b = m * parent for a move
     m, so b * anchor = m * (parent * anchor), spelled by the parent's word
     with m's letter prepended.  A parent whose carried bound has reached
     ``radius`` is first measured once by :func:`exact_distance`, when the
@@ -754,7 +750,7 @@ def certify_depth(
     in the radius-k ball.  Word length is inversion-invariant and u is an
     involution, so |u*b| = |b^-1*u|, and b -> b^-1 permutes the ball; the
     certifier therefore bounds the left-translates b*u instead, layer by
-    layer as :func:`ball_with_depths` searches the ball.  The upper side of
+    layer as it grows the ball (:class:`_Search`).  The upper side of
     each bound is a replayed word.  For b = 1 it is the defining word of
     :func:`make_gn`, which must replay to u in 6n letters, while
     :func:`halfplane_bound` must give 6n for the lower side; that proves
@@ -782,17 +778,19 @@ def certify_depth(
         raise RuntimeError("anchor is expected to be an involution spelled by its word")
     if not halfplane_bound(anchor) == a_length(word) == radius:
         raise RuntimeError("anchor is expected to have length 6n")
+    search = _ball(k, memory_limit_mb)
     bounds = [radius]
     failure = None
-
-    def bound_layer(frontier, layer, origins) -> bool:
-        nonlocal bounds, failure
+    while failure is None and search.radius < k:
+        parents, origins = search.frontier, []
+        layer = search.grow(origins)
+        search.budget.spend(_BOUND_COST * len(layer))
         failure, bounds = _bound_layer(
-            anchor, radius, frontier, bounds, layer, origins, memory_limit_mb
+            anchor, radius, parents, bounds, layer, origins, memory_limit_mb
         )
-        return failure is None
-
-    size = len(ball_with_depths(k, memory_limit_mb, bound_layer))
+    while search.radius < k:
+        search.grow()
+    size = len(search.depths)
     if failure is None:
         return DepthCertificate(n, k, radius, size, radius, "certified", None)
     return DepthCertificate(

@@ -123,7 +123,8 @@ def parse(text: str, alphabet: str = METRIC) -> Word:
     """Parse word text.
 
     Tokens are whitespace separated, each a base of ``alphabet`` with an
-    optional ``^k`` exponent (negative for inverse letters, zero to omit).
+    optional ``^k`` exponent: ASCII digits after an optional ``-``
+    (negative for inverse letters, zero to omit).
     Presentation text made only of the characters ``astAST`` with no
     separators is read compactly, uppercase meaning inverse.
     """
@@ -140,10 +141,14 @@ def parse(text: str, alphabet: str = METRIC) -> Word:
         if pair is None:
             raise WordError(f"unknown base token {base!r}")
         if caret:
+            # Plain ASCII digits: int() alone also reads "+3", "1_000" and
+            # the digits of other scripts.
+            if not (exponent_text.isascii() and exponent_text.removeprefix("-").isdigit()):
+                raise WordError(f"malformed exponent in token {token!r}")
             try:
                 exponent = int(exponent_text)
-            except ValueError:
-                raise WordError(f"malformed exponent in token {token!r}") from None
+            except ValueError:  # more digits than int() converts
+                raise WordError(f"exponent in token {token!r} exceeds +/-2^31") from None
             if abs(exponent) > COORD_LIMIT:
                 raise WordError(f"exponent in token {token!r} exceeds +/-2^31")
             pairs.append((pair[exponent < 0], abs(exponent)))

@@ -42,6 +42,11 @@ class TestEval:
         assert code == 1
         assert "'x'" in err
 
+    def test_exponent_that_is_not_ascii_digits_fails(self, capsys):
+        code, out, err = run(capsys, "eval", "s^1_000", "--alphabet", "metric")
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error: malformed exponent")
+
 
 class TestWitness:
     def test_identity(self, capsys):
@@ -122,7 +127,7 @@ class TestNumericCommands:
         def no_search(*args):
             raise AssertionError("dist searched")
 
-        monkeypatch.setattr(metric, "_expand_layer", no_search)
+        monkeypatch.setattr(metric._Search, "grow", no_search)
         code, out, _ = run(capsys, "dist", "s a s^-1 t a t^-2 a t")
         assert (code, out.strip()) == (0, "6")
         assert run(capsys, "dist", "a")[:2] == (0, "1\n")
@@ -329,6 +334,9 @@ class TestOutputFingerprint:
         assert len(ball) == 1 + 17 + 70 + 240
         assert ball[0] == " | 0"
         assert lines.count("exit 0") > lines.count("exit 1") > 0
+        # Every result, byte for byte.  A change that alters one on purpose
+        # regenerates the file with scripts/output_fingerprint.py --quick.
+        assert proc.stdout == (root / "tests" / "data" / "fingerprint_quick.txt").read_text()
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"

@@ -214,7 +214,30 @@ class TestHalfplaneBound:
                     assert halfplane_bound(g) == walk_tour(top, low, far, end), (g, end)
 
 
+@st.composite
+def far_elements(draw, limit=core.COORD_LIMIT):
+    """Elements with |p| within 2^12 of the input limit and any q within it,
+    lighting up to three lampstand points anywhere within it."""
+    p = draw(st.integers(limit - 2**12, limit)) * draw(st.sampled_from((1, -1)))
+    q = draw(st.integers(-limit, limit))
+    stand = st.one_of(
+        st.integers(1, limit).map(lambda i: (-i, 0)),
+        st.integers(-limit, limit).map(lambda j: (0, j)),
+    )
+    return Element(frozenset(draw(st.lists(stand, max_size=3))), (p, q))
+
+
 class TestExactDistance:
+    @given(far_elements())
+    def test_input_limit_answers_or_meets_the_cap(self, g):
+        # A walk of about 2^31 vertices or more is charged past 1 MiB at
+        # once; whichever way it ends, the proved length is stated.
+        length = max(halfplane_bound(g), int(g != identity()))
+        try:
+            assert exact_distance(g, 2**34, memory_limit_mb=1) == length
+        except MemoryCapExceeded as exc:
+            assert str(exc).endswith(f"it is at least {length}")
+
     def test_identity(self):
         assert exact_distance(identity(), 1) == 0
 
@@ -235,7 +258,7 @@ class TestExactDistance:
         def no_search(*args):
             raise AssertionError("searched although the bound exceeds the radius")
 
-        monkeypatch.setattr(metric, "_expand_layer", no_search)
+        monkeypatch.setattr(metric._Search, "grow", no_search)
         with pytest.raises(RadiusExceeded, match="radius 17; it is at least 18"):
             exact_distance(make_gn(3)[0], 17)
 
@@ -286,14 +309,14 @@ class TestExactDistance:
 
     def test_tour_answers_without_search(self, monkeypatch):
         depths = ball_with_depths(7)
-        monkeypatch.setattr(metric, "_expand_layer", no_search)
+        monkeypatch.setattr(metric._Search, "grow", no_search)
         for g, depth in depths.items():
             assert exact_distance(g, 7) == depth, g
         assert exact_distance(A_ELEMENT, 7) == 1
 
     def test_h2_table(self, monkeypatch):
         lengths = h2_lengths()
-        monkeypatch.setattr(metric, "_expand_layer", no_search)
+        monkeypatch.setattr(metric._Search, "grow", no_search)
         assert len(lengths) == 2432
         for g, length in lengths.items():
             assert exact_distance(g, 12) == length, g
@@ -499,9 +522,7 @@ class TestBallAndSpheres:
             for m, child in enumerate(products):
                 firsts.setdefault(child, m)
             origins = []
-            children = metric._expand_layer(
-                [state], {}, 1, metric._Budget(None, "one state"), origins
-            )
+            children = metric._Search(state, metric._Budget(None, "one state")).grow(origins)
             assert children == list(firsts)
             assert origins == list(firsts.values())
 
@@ -520,9 +541,12 @@ class TestBallAndSpheres:
                         origins.append(len(metric._MOVES) * i + m)
             expected_origins.append(origins)
             frontier = new
+        search = metric._ball(6, None)
         seen = []
-        ball = ball_with_depths(6, on_layer=lambda _, __, origins: seen.append(origins) or True)
-        assert list(ball.items()) == list(expected.items())
+        while search.radius < 6:
+            seen.append([])
+            search.grow(seen[-1])
+        assert list(search.depths.items()) == list(expected.items())
         assert seen == expected_origins
         assert sphere_sizes(6) == [1, 17, 70, 240, 722, 2000, 5234]
 
@@ -555,7 +579,7 @@ class TestPressTable:
             metric._single_press(frozenset({(0, 0), (0, 2)}))
 
     def test_edge_of_the_press_limit(self, cold_press_cache, monkeypatch):
-        # The edge of _expand_layer's docstring at a limit of 2^4 lamps: at
+        # The edge of _Search.grow's docstring at a limit of 2^4 lamps: at
         # (30, 0) = (2^5 - 2, 0) the state's own press toggles 16 lamps, but
         # the one at offset (1, 0), at (31, 0), toggles 32, so expanding it
         # raises.  From (29, 0) every press of the state is within the limit.

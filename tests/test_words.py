@@ -76,6 +76,20 @@ class TestParse:
         with pytest.raises(WordError, match="exponent"):
             parse("s^two", METRIC)
 
+    @pytest.mark.parametrize("text", ["s^1_000", "s^+3", "s^\u0663"])
+    def test_exponent_is_plain_ascii_digits(self, text):
+        # int() alone would read them as 1000, 3 and 3.
+        with pytest.raises(WordError, match="malformed exponent in token"):
+            parse(text, METRIC)
+
+    def test_exponent_may_be_zero_or_padded(self):
+        assert parse("s^0 t^-0", METRIC).runs == ()
+        assert parse("s^007 t^-02", METRIC).runs == ((Letter("s", 1), 7), (Letter("t", -1), 2))
+
+    def test_exponent_past_what_int_converts(self):
+        with pytest.raises(WordError, match="2\\^31"):
+            parse("s^" + "9" * 5000, METRIC)
+
     def test_zero_exponent_omits(self):
         assert parse("s^0 a", METRIC).letters == (Letter("a", 1),)
         # Dropped before neighbours merge: "s s^0 s" is one run s^2.
