@@ -17,9 +17,9 @@ The action is regular, so a group element is determined by its effect on
 the empty state.  :class:`Element` stores exactly that: the set of lamps
 left lit and the net translation.  All operations here are pure; values
 are immutable and safe to share across threads.  The one cache,
-``press_effect``'s ``lru_cache``, holds at most 1024 entries and about
-``PRESS_LAMP_LIMIT`` lamps in all; the lamp bound assumes one thread
-pressing at a time (see the comment at ``press_effect``).
+``press_effect``'s ``lru_cache``, holds at most 1024 entries and
+``PRESS_LAMP_LIMIT`` lamps in all, by a rule on the presses it keeps (see
+the comment at ``press_effect``).
 """
 
 from __future__ import annotations
@@ -95,37 +95,16 @@ def press_size(pos: Pos) -> int:
 PRESS_LAMP_LIMIT = 2**20
 
 
-# The only cache in the package.  A cached call is about ten times cheaper
-# than the closed form, and searches press each position many times but at
-# few positions: a ball B(r) presses at about 2(r+1)^2.  Each job's press
-# calls, replayed through an LRU of each size, miss this often:
-#
-#     job                      calls   4096 entries   1024 entries
-#     certify_depth(6, 6)     36,507            113            113
-#     certify_depth(4, 9)    444,151            200            200
-#     certify_depth(5, 10) 1,416,528            251            251
-#     certify_depth(6, 12) 7,170,993            340            340
-#     distance benchmark         474             21             21
-#     hexagon benchmark       25,374          4,775          6,486
-#
-# A search misses each distinct press once at either size.  The hexagon
-# benchmark's extra misses are presses that later texts of its batch happen
-# to share; each witness's replay reuses its own presses at once.  The cache
-# is bounded in lamps too, in the body: a miss that takes the lamps built
-# since the last clear past PRESS_LAMP_LIMIT clears it first, so between
-# calls it holds at most that many lamps, where 1024 entries alone could
-# hold 1024 times as many.  The count is not lowered when the LRU evicts,
-# so many small misses clear it too (hexagon builds 98,986 lamps in its
-# 6,486).  The trade: a job whose presses together pass the limit misses
-# presses it would have hit.  Five evaluations of "a t " * 100 + "s^16383"
-# (100 presses of 2^14 lamps) miss 508 times, not 108: 1.6 -> 3.7 s, and
-# 217 -> 147 MB peak RSS.  search_distance(s^131071, 4) presses 34
-# positions, 1,048,620 lamps, and misses 61 times, not 34: 4.1 -> 5.4 s
-# and 332 -> 399 MB, since its states keep the cleared effects' lamps and
-# the rebuilt effects are new copies.  The count is a plain global, so
-# concurrent misses can lose an update: with several threads pressing the
-# lamp bound is approximate; the effects returned are not affected.
-@lru_cache(maxsize=1024)
+def check_press(pos: Pos) -> int:
+    """:func:`press_size` of ``pos``, or ``ValueError`` past ``PRESS_LAMP_LIMIT``."""
+    size = press_size(pos)
+    if size > PRESS_LAMP_LIMIT:
+        raise ValueError(
+            f"a press at {pos} toggles {size} lamps, over the limit of {PRESS_LAMP_LIMIT}"
+        )
+    return size
+
+
 def press_effect(pos: Pos) -> LampSet:
     """Set of lamps toggled by pressing the button at ``pos``.
 
@@ -145,38 +124,53 @@ def press_effect(pos: Pos) -> LampSet:
         effect(p+1, q) = effect(p, q)  xor  effect(p, q+1)
 
     Raises ``ValueError`` when the effect has more than ``PRESS_LAMP_LIMIT``
-    lamps (:func:`press_size`), before building any of them.
+    lamps (:func:`check_press`), before building any of them.
     """
     p, q = pos
+    span = abs(p) + abs(q)
+    if span < PRESS_LAMP_LIMIT // _CACHED_PRESSES:
+        return _cached_press(pos)
     # An effect has at most |p| + |q| + 1 lamps, so most presses skip the count.
-    if abs(p) + abs(q) >= PRESS_LAMP_LIMIT:
-        size = press_size(pos)
-        if size > PRESS_LAMP_LIMIT:
-            raise ValueError(
-                f"a press at {pos} toggles {size} lamps, over the limit of {PRESS_LAMP_LIMIT}"
-            )
+    if span >= PRESS_LAMP_LIMIT:
+        check_press(pos)
+    return _build_press(pos)
+
+
+def _build_press(pos: Pos) -> LampSet:
+    """The closed form of :func:`press_effect`, built on each call."""
+    p, q = pos
     if p >= 0:
-        effect = frozenset((0, q + r) for r in _odd_binomials(p, p + 1))
+        return frozenset((0, q + r) for r in _odd_binomials(p, p + 1))
+    lamps = [(p + i, 0) for i in _odd_binomials(q, -p)]
+    if q < 0:
+        lamps += [(0, q + r) for r in _odd_binomials(p, -q)]
     else:
-        lamps = [(p + i, 0) for i in _odd_binomials(q, -p)]
-        if q < 0:
-            lamps += [(0, q + r) for r in _odd_binomials(p, -q)]
-        else:
-            lamps += [(0, q + p - r) for r in _odd_binomials(p, q + p + 1)]
-        effect = frozenset(lamps)
-    global _cached_lamps
-    _cached_lamps += len(effect)
-    if _cached_lamps > PRESS_LAMP_LIMIT:
-        _clear_press_cache()
-        _cached_lamps = len(effect)
-    return effect
+        lamps += [(0, q + p - r) for r in _odd_binomials(p, q + p + 1)]
+    return frozenset(lamps)
 
 
-# Lamps built by misses since the cache was last cleared here, at least the
-# lamps it holds.  The clear is bound once, so that it reaches the cache even
-# when ``press_effect`` is rebound to a wrapper (a tracer's, say).
-_cached_lamps = 0
-_clear_press_cache = press_effect.cache_clear
+# The only cache in the package.  It keeps a press only when |p| + |q| is
+# below PRESS_LAMP_LIMIT / 1024, so each of its 1024 entries has at most
+# PRESS_LAMP_LIMIT / 1024 lamps, and it holds at most PRESS_LAMP_LIMIT
+# lamps in all; larger presses are built on every call.  Each job's press
+# calls, replayed through an LRU of each size under that rule, miss this
+# often:
+#
+#     job                      calls   4096 entries   1024 entries
+#     certify_depth(6, 6)     15,254            113            113
+#     certify_depth(4, 9)     70,830            200            200
+#     certify_depth(5, 10)   513,041            251            251
+#     distance benchmark         474             21             21
+#     hexagon benchmark       25,374          4,775          6,486
+#
+# Each search makes each of its presses once and keeps them itself
+# (metric._Search).  The hexagon benchmark's extra misses are presses that
+# later texts of its batch happen to share.
+_CACHED_PRESSES = 1024
+_cached_press = lru_cache(maxsize=_CACHED_PRESSES)(_build_press)
+# press_effect reports and clears its cache as an lru_cache function does.
+press_effect.cache_info = _cached_press.cache_info
+press_effect.cache_clear = _cached_press.cache_clear
 
 
 class Element(NamedTuple):

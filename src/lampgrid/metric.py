@@ -35,6 +35,7 @@ from .core import (
     Element,
     LampSet,
     Pos,
+    check_press,
     identity,
     multiply,
     press_effect,
@@ -89,11 +90,26 @@ _WALK_COST = _POINTER_COST
 # Frames, generators, the path and the word of one witness: about 3 kB by
 # tracemalloc, rounded up.
 _SOLVE_COST = 4096
-# What a search holds beside its states: its frames, lists and tables
-# before they grow, and the press effects it caches.  B(2) from a cold
-# cache, 88 states, traces about 8 kB above their charge, the most of any
-# ball; rounded up.
-_SEARCH_COST = 12 * 1024
+# A press a search builds is charged before it is built, from its size
+# alone: its slot in the search's press table, with its position pair and
+# an empty frozenset, and per lamp a pair, an int and eight table entries
+# of 16 bytes.  A set grows its table to at most eight entries per element
+# it has held, so that bounds the table however the set was built.
+_ENTRY_COST = 16
+_EFFECT_COST = _SLOT_COST + _PAIR_COST + getsizeof(frozenset())
+_LAMP_COST = _PAIR_COST + _INT_COST + 8 * _ENTRY_COST
+# A position's row of seven presses: its slot in the row table, the tuple
+# of effects and the pair that holds it with its lamp count.
+_ROW_COST = _SLOT_COST + getsizeof((None,) * 7) + _PAIR_COST
+# Expanding one state XORs its lamp set with each press of its row, and
+# the seven new sets live until the next state: at most eight entries per
+# lamp of either side (_Budget.widen).
+_XOR_LAMP_COST = 8 * _ENTRY_COST
+# What a search holds beside its states, presses and XOR entries: its
+# frames, lists and tables before they grow, about 0.7 kB by tracemalloc
+# on B(0), which expands nothing (rounded up to 1 KiB), and the seven
+# XORs' empty sets.  Every larger ball's other charges cover it.
+_SEARCH_COST = 1024 + 7 * getsizeof(frozenset())
 
 
 class RadiusExceeded(RuntimeError):
@@ -311,7 +327,7 @@ _IDENTITY = identity()
 
 
 class _Budget:
-    """Storage of the states one search has recorded, against a cap.
+    """Storage of what one search holds, its states and presses, against a cap.
 
     It also owns the search's table of lamp sets and positions: every
     state :meth:`charge` records is rebuilt from the table's copies, so
@@ -326,11 +342,22 @@ class _Budget:
         self.search = search
         self.left = self.limit_mb * 1024 * 1024
         self.table: dict = {}
+        self.widest = 0
 
     def spend(self, size: int) -> None:
         self.left -= size
         if self.left < 0:
             raise MemoryCapExceeded(f"{self.search} exceeds the {self.limit_mb} MiB cap")
+
+    def widen(self, lamps: int) -> None:
+        """Charge the XORs of one state's expansion, ``lamps`` lamps in all.
+
+        A search expands one state at a time, so the budget pays once for
+        the widest: only the excess over the widest it has paid for.
+        """
+        if lamps > self.widest:
+            self.spend((lamps - self.widest) * _XOR_LAMP_COST)
+            self.widest = lamps
 
     def charge(self, state: tuple[LampSet, Pos]) -> Element:
         """Charge a new state (lamps, pos) and return it as an :class:`Element`.
@@ -359,7 +386,10 @@ class _Search:
     ``depths`` maps every state recorded so far to its layer, in the order
     recorded; ``frontier`` is the last layer and ``radius`` its depth.
     Every state is charged to ``budget``, which builds it from its copies
-    of lamp sets and positions, ``start`` first.
+    of lamp sets and positions, ``start`` first.  The search also owns its
+    presses: ``rows`` maps each position it has expanded to the effects of
+    the presses at that position plus each offset of ``_PRESSES``, with
+    their lamp count, and ``effects`` each press it has made, by position.
     """
 
     def __init__(self, start: Element, budget: _Budget):
@@ -367,6 +397,29 @@ class _Search:
         self.frontier = [budget.charge(start)]
         self.depths: dict[Element, int] = {self.frontier[0]: 0}
         self.radius = 0
+        self.rows: dict[Pos, tuple[tuple[LampSet, ...], int]] = {}
+        self.effects: dict[Pos, LampSet] = {}
+
+    def _row(self, pos: Pos) -> tuple[tuple[LampSet, ...], int]:
+        """Make, charge and record the row of presses at ``pos``.
+
+        Each press is made once per search.  The ones the search has not yet
+        made are sized first (:func:`check_press`), so a press over
+        ``PRESS_LAMP_LIMIT`` raises its ``ValueError`` before any charge,
+        and then charged by their sizes before any is built, so a search
+        never builds a press that its cap cannot pay for.
+        """
+        p, q = pos
+        effects = self.effects
+        at = [(p + dp, q + dq) for dp, dq in _PRESSES]
+        new = [press for press in at if press not in effects]
+        sizes = [check_press(press) for press in new]
+        self.budget.spend(_ROW_COST + _EFFECT_COST * len(new) + _LAMP_COST * sum(sizes))
+        for press in new:
+            effects[press] = press_effect(press)
+        row = tuple(effects[press] for press in at)
+        self.rows[pos] = entry = row, sum(map(len, row))
+        return entry
 
     def grow(self, origins: list[int] | None = None) -> list[Element]:
         """Add the next layer: prepend every move to every frontier state.
@@ -376,14 +429,15 @@ class _Search:
         The children of a state are ``multiply(mv, state)`` for the moves
         ``mv`` of ``_MOVES``, in that order.  Each lamp set a move can
         toggle is one press at the state's position plus an offset of
-        ``_PRESSES``, so a state takes seven press lookups, each XORed into
-        its lamps once, and its five child positions, its own plus each step
-        of ``_SHIFTS``; ``_STEPS`` pairs them per move.  ``depths`` is
-        probed with plain (lamps, pos) pairs, so only a new state becomes
-        an :class:`Element`.  Given ``origins``, each new state also appends
-        there where it came from: ``len(_MOVES) * i + m`` for its first
-        parent ``frontier[i]`` and the move ``_MOVES[m]``, so that the state
-        is ``_MOVES[m] * frontier[i]``.
+        ``_PRESSES``, so a state takes one row of seven presses
+        (:meth:`_row`), each XORed into its lamps once, and its five child
+        positions, its own plus each step of ``_SHIFTS``; ``_STEPS`` pairs
+        them per move.  The widest state's XORs are charged
+        (:meth:`_Budget.widen`).  ``depths`` is probed with plain (lamps,
+        pos) pairs, so only a new state becomes an :class:`Element`.  Given
+        ``origins``, each new state also appends there where it came from:
+        ``len(_MOVES) * i + m`` for its first parent ``frontier[i]`` and the
+        move ``_MOVES[m]``, so that the state is ``_MOVES[m] * frontier[i]``.
 
         A state is expanded only if all seven presses are within
         ``PRESS_LAMP_LIMIT``, else ``ValueError``; the presses at offsets
@@ -393,13 +447,16 @@ class _Search:
         state raises.
         """
         self.radius += 1
-        depth, depths = self.radius, self.depths
+        depth, depths, rows = self.radius, self.depths, self.rows
         nxt: list[Element] = []
         width = len(_MOVES)
-        charge = self.budget.charge
-        for i, (lamps, (p, q)) in enumerate(self.frontier):
-            lit = [lamps ^ press_effect((p + dp, q + dq)) for dp, dq in _PRESSES]
+        charge, widen = self.budget.charge, self.budget.widen
+        for i, (lamps, pos) in enumerate(self.frontier):
+            row, lamps_in_row = rows.get(pos) or self._row(pos)
+            widen(lamps_in_row + len(row) * len(lamps))
+            lit = [lamps ^ effect for effect in row]
             lit.append(lamps)
+            p, q = pos
             shifted = [(p + dp, q + dq) for dp, dq in _SHIFTS]
             for m, (shift, press) in enumerate(_STEPS):
                 child = (lit[press], shifted[shift])
@@ -431,8 +488,9 @@ def ball_with_depths(radius: int, memory_limit_mb: int | None = None) -> dict[El
     its iteration order) is deterministic.  Equal lamp sets and equal
     positions are held once across the ball (:class:`_Budget`), so a state
     costs its :class:`Element` and its slot in the mapping, plus its lamp
-    set and position only where no earlier state has them, and the ball a
-    fixed ``_SEARCH_COST`` for what it holds beside its states.  Raises
+    set and position only where no earlier state has them, each press it
+    makes (:meth:`_Search._row`), and a fixed ``_SEARCH_COST`` for what it
+    holds beside its states and presses.  Raises
     :class:`MemoryCapExceeded` when the stored states outgrow
     ``memory_limit_mb`` (default ``DEFAULT_MEMORY_LIMIT_MB``, read at call
     time).
@@ -607,7 +665,8 @@ def search_distance(g: Element, max_r: int, memory_limit_mb: int | None = None) 
     ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).  The two sides share
     one budget, so equal lamp sets and positions are held once across both,
     and the search is charged ``_SEARCH_COST`` once.  Each side is a
-    :class:`_Search`; the smaller frontier grows, side a on a tie.
+    :class:`_Search` that makes and pays for its own presses; the smaller
+    frontier grows, side a on a tie.
     """
     budget = _Budget(memory_limit_mb, f"distance search to radius {max_r}")
     if g == _IDENTITY:

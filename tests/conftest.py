@@ -10,10 +10,9 @@ settings.load_profile("suite")
 
 
 @pytest.fixture
-def cold_press_cache(monkeypatch):
-    """An empty press cache whose count of lamps built starts again at 0."""
+def cold_press_cache():
+    """An empty press cache, emptied again after the test."""
     core.press_effect.cache_clear()
-    monkeypatch.setattr(core, "_cached_lamps", 0)
     yield
     core.press_effect.cache_clear()
 

@@ -132,21 +132,27 @@ class TestPressEffect:
             assert obeys_half_planes(*pos)
 
     def test_cache_is_bounded(self, cold_press_cache):
-        # 2,000 distinct one-lamp presses: the cache keeps the last 1024.
-        for q in range(2000):
+        # 2,000 distinct one-lamp presses with |q| <= 1000, below the size
+        # limit: the cache keeps the last 1024.
+        for q in range(-1000, 1000):
             press_effect((0, q))
         info = press_effect.cache_info()
         assert (info.misses, info.currsize, info.maxsize) == (2000, 1024, 1024)
 
-    def test_cache_is_bounded_in_lamps(self, cold_press_cache, monkeypatch):
-        # Presses of 8 lamps each under a limit of 64: the ninth miss clears
-        # the cache, so it never holds more than eight of them.
-        monkeypatch.setattr(core, "PRESS_LAMP_LIMIT", 64)
-        held = []
-        for q in range(40):
-            assert press_effect((7, q)) == {(0, q + r) for r in range(8)}
-            held.append(press_effect.cache_info().currsize)
-        assert held == [1, 2, 3, 4, 5, 6, 7, 8] * 5
+    def test_press_at_the_size_limit_is_built_but_never_cached(self, cold_press_cache):
+        # |p| + |q| = PRESS_LAMP_LIMIT / 1024 and past it: each call builds
+        # an equal new set, and the cache stays empty.
+        edge = PRESS_LAMP_LIMIT // 1024
+        for pos in ((edge, 0), (0, -edge), (-3, edge - 3), (2**20 - 1, 0)):
+            first, again = press_effect(pos), press_effect(pos)
+            assert first == again and first is not again
+        assert press_effect.cache_info().currsize == 0
+        # The largest press below the limit has edge lamps, so 1024 entries
+        # hold at most PRESS_LAMP_LIMIT.
+        largest = (edge - 1, 0)
+        assert len(press_effect(largest)) == edge
+        assert press_effect(largest) is press_effect(largest)
+        assert press_effect.cache_info().currsize == 1
 
 
 class TestPressSize:

@@ -74,6 +74,35 @@ def cold_tour(g):
     assert exact_distance(g, halfplane_bound(g)) == halfplane_bound(g)
 
 
+def far_search(memory_limit_mb=None):
+    """A search from s^4095, whose presses have up to 2^12 lamps each."""
+    with pytest.raises(RadiusExceeded):
+        search_distance(Element(frozenset(), (4095, 0)), 4, memory_limit_mb)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The positions searches press at, one entry per press they make."""
+    presses = []
+
+    def counted(pos):
+        presses.append(pos)
+        return press_effect(pos)
+
+    monkeypatch.setattr(metric, "press_effect", counted)
+    return presses
+
+
+def traced_peak(run) -> int:
+    """Peak bytes tracemalloc sees while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestHexagon:
     def test_hex_param_identity(self):
         assert hex_param(identity()) == 0
@@ -237,6 +266,18 @@ class TestExactDistance:
             assert exact_distance(g, 2**34, memory_limit_mb=1) == length
         except MemoryCapExceeded as exc:
             assert str(exc).endswith(f"it is at least {length}")
+
+        # A search sizes every press before it builds it: one over the
+        # press limit raises, and one the cap cannot pay for is not built.
+        def search():
+            try:
+                search_distance(g, 2, memory_limit_mb=1)
+            except (RadiusExceeded, MemoryCapExceeded):
+                pass
+            except ValueError as exc:
+                assert "over the limit" in str(exc)
+
+        assert traced_peak(search) < 2 * 2**20
 
     def test_identity(self):
         assert exact_distance(identity(), 1) == 0
@@ -433,15 +474,35 @@ class TestBudget:
             lambda: exact_distance(make_gn(2)[0], 12),
             lambda: search_distance(make_gn(2)[0], 12),
             lambda: cold_tour(random_element(24, 3)),
+            far_search,
         ],
         ids=[
             *(f"ball-{r}" for r in range(1, 6)),
             "ball", "ball-8", "distance", "distance-search", "distance-wide-tour",
+            "distance-search-far",
         ],
     )
     def test_charge_covers_traced_peak(self, monkeypatch, search):
         (budget,), peak = self.traced(monkeypatch, search)
         assert self.charged(budget) >= peak
+
+    def test_cap_comes_before_a_large_press(self):
+        # From (2^20 - 1, 0) the presses of the first expansion have up to
+        # 2^20 lamps, about 150 MB each: the 1 MiB cap is met before any of
+        # them is built.
+        start = Element(frozenset(), (2**20 - 1, 0))
+
+        def search():
+            with pytest.raises(MemoryCapExceeded, match="1 MiB cap"):
+                search_distance(start, 3, memory_limit_mb=1)
+
+        assert traced_peak(search) < 2**20
+
+    def test_press_limit_comes_before_the_cap(self):
+        # The press at (2^21 - 1, 0) has 2^21 lamps: over the press limit,
+        # which is reported even though the cap could not pay for it either.
+        with pytest.raises(ValueError, match=r"press at \(2097151, 0\) toggles 2097152 lamps"):
+            search_distance(Element(frozenset(), (2**21 - 2, 0)), 2, memory_limit_mb=1)
 
     def test_certify_charge_covers_traced_peak(self, monkeypatch):
         # The ball's budget holds the search and what certify keeps per
@@ -464,16 +525,10 @@ class TestBudget:
                 budgets.append(self)
 
         monkeypatch.setattr(metric, "_Budget", Recording)
-        # A cold press cache, so that the effects a search caches are traced
-        # too; on the smallest balls only the fixed cost per search pays.
+        # A cold press cache, so that the shared cache's entries for the
+        # presses a search makes are traced too.
         press_effect.cache_clear()
-        tracemalloc.start()
-        try:
-            search()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return budgets, peak
+        return budgets, traced_peak(search)
 
 
 class TestBallAndSpheres:
@@ -502,16 +557,28 @@ class TestBallAndSpheres:
         for values in ([g.lamps for g in ball], [g.pos for g in ball]):
             assert len({id(value) for value in values}) == len(set(values))
 
-    def test_ball_misses_each_press_position_once(self, cold_press_cache):
+    def test_ball_misses_each_press_position_once(self, built):
         # Each expanded state presses at its position plus each offset of
-        # _PRESSES; the cache keeps every one of them for the whole ball.
+        # _PRESSES; the search makes every one of them once, for the whole
+        # ball, and keeps it in its own table.
         ball = ball_with_depths(8)
         pressed = {
             (p + dp, q + dq)
             for (p, q) in {g.pos for g, depth in ball.items() if depth < 8}
             for dp, dq in metric._PRESSES
         }
-        assert press_effect.cache_info().misses == len(pressed)
+        assert sorted(built) == sorted(pressed)
+
+    def test_far_search_builds_each_press_once(self, cold_press_cache, built):
+        # Presses of up to 2^12 lamps, past the size the shared cache keeps:
+        # each is built once all the same, and the shared cache keeps only
+        # the small ones.
+        far_search()
+        assert len(built) == len(set(built))
+        assert max(map(press_size, built)) == 2**12
+        assert press_effect.cache_info().currsize == sum(
+            abs(p) + abs(q) < core.PRESS_LAMP_LIMIT // 1024 for p, q in built
+        )
 
     def test_expansion_prepends_each_move(self):
         # The children of every state of B(5), one state at a time: each

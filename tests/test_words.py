@@ -363,8 +363,9 @@ class TestEvaluate:
 
     def test_press_cache_holds_about_the_lamp_limit(self, cold_press_cache, monkeypatch):
         # 200 distinct presses at (7991..8190, 0), of 2^6 to 2^12 lamps each:
-        # under a limit of 2^14 lamps the cache keeps a few of them, where
-        # 1024 entries alone would keep all 200 (about 24 MiB).
+        # under a limit of 2^14 lamps the cache keeps only presses with
+        # |p| + |q| < 16, so none of them, where 1024 entries alone would
+        # keep all 200 (about 24 MiB).
         monkeypatch.setattr(core, "PRESS_LAMP_LIMIT", 2**14)
         word = parse("a s^-1 " * 200 + "s^8191", PRESENTATION)
         tracemalloc.start()
