@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("word",))
     p.add_argument(
         "--max-radius", type=int, default=_env("MAX_RADIUS", 10),
-        help="search radius; beyond it only a lower bound is reported",
+        help="largest distance reported exactly; beyond it only a lower bound is reported",
     )
     memory_cap(p)
     p.set_defaults(func=cmd_dist)

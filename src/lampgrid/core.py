@@ -37,7 +37,7 @@ ORIGIN: Pos = (0, 0)
 COORD_LIMIT = 2**31
 
 
-def check_coord(value: int, what: str = "coordinate") -> int:
+def check_coord(value: int, what: str) -> int:
     """Validate an externally supplied integer against the input range."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")

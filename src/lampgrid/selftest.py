@@ -1,11 +1,14 @@
 """Built-in invariant suites, runnable from the CLI and from the test suite.
 
-Each check returns a :class:`CheckResult`; a failure carries a short
-description of the first offending case.  Where a check pits the
+Each suite is a function of no arguments (the seeded ones take only
+``seed``, with a built-in default) that checks the model at one fixed
+size and returns a one-line detail, or raises at the first offending
+case.  :data:`SUITES` names every suite; :func:`run` times each one and
+turns its outcome into a :class:`CheckResult`.  Where a suite pits the
 production code against an oracle, the oracle here is an independent
 route: Pascal rows grow by the additive recurrence, and witnesses are
 replayed by evaluating their words, a route apart from the construction
-that built them.  Checks raise explicitly rather than by ``assert``, so
+that built them.  Suites raise explicitly rather than by ``assert``, so
 they hold under ``python -O``.
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .core import (
@@ -89,41 +93,37 @@ def _run(name: str, body: Callable[[], str]) -> CheckResult:
     return CheckResult(name, ok, detail, time.perf_counter() - start)
 
 
-def _random_states(count: int, seed, max_n: int = 12) -> list[Element]:
+def _random_states(count: int, seed) -> list[Element]:
     rng = random.Random(f"states:{seed}")
-    return [random_element(rng.randint(1, max_n), rng.random()) for _ in range(count)]
+    return [random_element(rng.randint(1, 12), rng.random()) for _ in range(count)]
 
 
-def check_relators(states: int = 1000, seed="relators") -> CheckResult:
-    def body() -> str:
-        for state in _random_states(states, seed):
-            for name, runs in RELATORS.items():
-                acted = act_runs(runs, state)
-                _check(acted == state, f"relator {name} moved a state")
-            left = act_runs(SPLIT_LEFT, state)
-            right = act_runs(SPLIT_RIGHT, state)
-            _check(left == right, "the two press-split spellings acted differently")
-        return f"{states} states, {len(RELATORS)} relators, split identity"
-
-    return _run("core-relators", body)
+def check_relators(seed="relators") -> str:
+    states = 1000
+    for state in _random_states(states, seed):
+        for name, runs in RELATORS.items():
+            acted = act_runs(runs, state)
+            _check(acted == state, f"relator {name} moved a state")
+        left = act_runs(SPLIT_LEFT, state)
+        right = act_runs(SPLIT_RIGHT, state)
+        _check(left == right, "the two press-split spellings acted differently")
+    return f"{states} states, {len(RELATORS)} relators, split identity"
 
 
-def check_bilinearity(span: int = 12) -> CheckResult:
+def check_bilinearity() -> str:
     # The lampstand base case and the split relation together pin every
     # effect in the box, so this is an oracle independent of the closed form.
-    def body() -> str:
-        for lamp in lampstand_points(span):
-            _check(press_effect(lamp) == {lamp}, f"press at lamp {lamp} is not a singleton")
-        for p in range(-span, span):
-            for q in range(-span, span + 1):
-                merged = press_effect((p, q)) ^ press_effect((p, q + 1))
-                _check(press_effect((p + 1, q)) == merged, f"split failed at {(p, q)}")
-        return (
-            f"effect(p+1,q) == effect(p,q) xor effect(p,q+1) and single lamps on "
-            f"the lampstand for |p|,|q| <= {span}"
-        )
-
-    return _run("core-bilinearity", body)
+    span = 12
+    for lamp in lampstand_points(span):
+        _check(press_effect(lamp) == {lamp}, f"press at lamp {lamp} is not a singleton")
+    for p in range(-span, span):
+        for q in range(-span, span + 1):
+            merged = press_effect((p, q)) ^ press_effect((p, q + 1))
+            _check(press_effect((p + 1, q)) == merged, f"split failed at {(p, q)}")
+    return (
+        f"effect(p+1,q) == effect(p,q) xor effect(p,q+1) and single lamps on "
+        f"the lampstand for |p|,|q| <= {span}"
+    )
 
 
 def _pascal_rows_additive(max_row: int) -> list[list[int]]:
@@ -136,17 +136,15 @@ def _pascal_rows_additive(max_row: int) -> list[list[int]]:
     return rows
 
 
-def check_pascal(max_row: int = 16, q_span: int = 8) -> CheckResult:
-    def body() -> str:
-        rows = _pascal_rows_additive(max_row)
-        for p in range(max_row + 1):
-            expected_offsets = [r for r, bit in enumerate(rows[p]) if bit]
-            for q in range(-q_span, q_span + 1):
-                expected = frozenset((0, q + r) for r in expected_offsets)
-                _check(press_effect((p, q)) == expected, f"row {p} mismatch at q={q}")
-        return f"rows 0..{max_row} match the additive parity oracle for |q| <= {q_span}"
-
-    return _run("core-pascal", body)
+def check_pascal() -> str:
+    max_row, q_span = 16, 8
+    rows = _pascal_rows_additive(max_row)
+    for p in range(max_row + 1):
+        expected_offsets = [r for r, bit in enumerate(rows[p]) if bit]
+        for q in range(-q_span, q_span + 1):
+            expected = frozenset((0, q + r) for r in expected_offsets)
+            _check(press_effect((p, q)) == expected, f"row {p} mismatch at q={q}")
+    return f"rows 0..{max_row} match the additive parity oracle for |q| <= {q_span}"
 
 
 def _hex_points(n: int):
@@ -156,36 +154,32 @@ def _hex_points(n: int):
                 yield (p, q)
 
 
-def check_hexagon(max_n: int = 12) -> CheckResult:
-    def body() -> str:
-        for n in range(max_n + 1):
-            for pos in _hex_points(n):
-                for lamp in press_effect(pos):
-                    _check(in_hex(lamp, n), f"press at {pos} escapes the hexagon H_{n}")
-        return f"press effects stay inside H_n for all n <= {max_n}"
-
-    return _run("core-hexagon", body)
+def check_hexagon() -> str:
+    max_n = 12
+    for n in range(max_n + 1):
+        for pos in _hex_points(n):
+            for lamp in press_effect(pos):
+                _check(in_hex(lamp, n), f"press at {pos} escapes the hexagon H_{n}")
+    return f"press effects stay inside H_n for all n <= {max_n}"
 
 
-def check_conjugates(samples: int = 150, seed="conjugates") -> CheckResult:
-    def body() -> str:
-        rng = random.Random(f"conj:{seed}")
-        presses = []
-        for _ in range(samples):
-            if rng.random() < 0.5:
-                i = -rng.randint(1, 10)
-                text = f"s^{-i} a s^{i}"
-            else:
-                j = rng.randint(-10, 10)
-                text = f"t^{-j} a t^{j}" if j else "a"
-            presses.append(evaluate(parse(text, "presentation")))
-        for _ in range(samples):
-            x = rng.choice(presses)
-            y = rng.choice(presses)
-            _check(multiply(x, y) == multiply(y, x), "conjugate presses failed to commute")
-        return f"{samples} sampled press conjugates pairwise commute"
-
-    return _run("core-conjugates", body)
+def check_conjugates(seed="conjugates") -> str:
+    samples = 150
+    rng = random.Random(f"conj:{seed}")
+    presses = []
+    for _ in range(samples):
+        if rng.random() < 0.5:
+            i = -rng.randint(1, 10)
+            text = f"s^{-i} a s^{i}"
+        else:
+            j = rng.randint(-10, 10)
+            text = f"t^{-j} a t^{j}" if j else "a"
+        presses.append(evaluate(parse(text, "presentation")))
+    for _ in range(samples):
+        x = rng.choice(presses)
+        y = rng.choice(presses)
+        _check(multiply(x, y) == multiply(y, x), "conjugate presses failed to commute")
+    return f"{samples} sampled press conjugates pairwise commute"
 
 
 def _random_metric_word(rng: random.Random, max_len: int) -> Word:
@@ -196,14 +190,14 @@ def _random_metric_word(rng: random.Random, max_len: int) -> Word:
     return Word.from_letters(letters)
 
 
-def _random_long_word(rng: random.Random, max_runs: int) -> Word:
-    # Mostly short runs, with long exponents mixed in.
+def _random_long_word(rng: random.Random) -> Word:
+    # Up to 8 runs, mostly short, with long exponents mixed in.
     pairs = [
         (
             Letter(rng.choice(METRIC_BASES), rng.choice((1, -1))),
             rng.choice((1, 1, 2, 3, rng.randint(4, 60))),
         )
-        for _ in range(rng.randint(0, max_runs))
+        for _ in range(rng.randint(0, 8))
     ]
     return Word(merge_runs(pairs))
 
@@ -223,181 +217,165 @@ def _fold_letters(letters, state: Element) -> Element:
     return Element(frozenset(lamps), (p, q))
 
 
-def check_homomorphism(pairs: int = 500, max_len: int = 40, seed="hom") -> CheckResult:
-    def body() -> str:
-        rng = random.Random(f"hom:{seed}")
-        for _ in range(pairs):
-            u = _random_metric_word(rng, max_len)
-            v = _random_metric_word(rng, max_len)
-            _check(
-                evaluate(concat(u, v)) == multiply(evaluate(u), evaluate(v)),
-                "concatenation disagreed with multiply",
-            )
-            _check(
-                evaluate(inverse_word(u)) == inverse(evaluate(u)),
-                "word inversion disagreed with inverse",
-            )
-            w = concat(u, _random_long_word(rng, 8))
-            state = random_element(rng.randint(1, 12), rng.random())
-            _check(
-                act_runs(w.runs, state) == _fold_letters(w.letters, state),
-                "the run fold disagreed with the letter fold",
-            )
-        return (
-            f"{pairs} word pairs of length <= {max_len}; run fold matches the"
-            " letter fold on words with runs up to 60"
-        )
-
-    return _run("words-homomorphism", body)
-
-
-def check_word_roundtrip(samples: int = 300, seed="roundtrip") -> CheckResult:
-    def body() -> str:
-        rng = random.Random(f"rt:{seed}")
-        for _ in range(samples):
-            w = _random_metric_word(rng, 25)
-            _check(parse(format_word(w), METRIC) == w, "format/parse failed to round-trip")
-        relator_words = [Word(runs) for runs in RELATORS.values()]
-        for _ in range(samples // 3):
-            w = _random_metric_word(rng, 15)
-            base = evaluate(w)
-            cut = rng.randint(0, len(w.letters))
-            insert = rng.choice(relator_words)
-            spliced = Word.from_letters(w.letters[:cut] + insert.letters + w.letters[cut:])
-            _check(evaluate(spliced) == base, "relator insertion changed the value")
-        return f"{samples} round-trips, {samples // 3} relator insertions"
-
-    return _run("words-roundtrip", body)
-
-
-def check_witness(
-    samples: int = 500, max_hex: int = 25, ball_radius: int = 4, seed="witness"
-) -> CheckResult:
-    def body() -> str:
-        rng = random.Random(f"wit:{seed}")
-        pool = [random_element(rng.randint(1, max_hex), rng.random()) for _ in range(samples)]
-        pool.append(identity())
-        for g in pool:
-            witness = witness_word(g)
-            _check(evaluate(witness) == g, "witness failed to replay")
-            length = a_length(witness)
-            _check(
-                length == halfplane_bound(g) + (g == _A_ELEMENT),
-                "witness is not at the half-plane bound",
-            )
-            _check(length <= 6 * hex_param(g), "witness exceeded the 6n bound")
-        # the origin press is the single exception to the bound: its hexagon
-        # parameter is 0 yet any spelling needs one letter
-        lone = witness_word(_A_ELEMENT)
+def check_homomorphism(seed="hom") -> str:
+    pairs, max_len = 500, 40
+    rng = random.Random(f"hom:{seed}")
+    for _ in range(pairs):
+        u = _random_metric_word(rng, max_len)
+        v = _random_metric_word(rng, max_len)
         _check(
-            lone == parse("a", METRIC),
-            "origin press should be the letter a",
+            evaluate(concat(u, v)) == multiply(evaluate(u), evaluate(v)),
+            "concatenation disagreed with multiply",
         )
-        depths = ball_with_depths(ball_radius)
-        for g, depth in depths.items():
-            witness = witness_word(g)
-            _check(evaluate(witness) == g, "ball witness failed to replay")
-            _check(a_length(witness) == depth, "ball witness is not a geodesic")
-            _check(halfplane_bound(g) <= depth, "half-plane bound above the exact distance")
-        return (
-            f"{samples} random elements with hex <= {max_hex}"
-            f" and all {len(depths)} elements of the radius-{ball_radius} ball"
-            " (witnesses at the half-plane bound and within 6n, geodesic in the ball)"
+        _check(
+            evaluate(inverse_word(u)) == inverse(evaluate(u)),
+            "word inversion disagreed with inverse",
         )
-
-    return _run("metric-witness", body)
-
-
-def check_tour(max_n: int = 50) -> CheckResult:
-    def body() -> str:
-        _check(tour_lower_bound(0) == 0, "tour bound is not 0 at n=0")
-        for n in range(1, max_n + 1):
-            got = tour_lower_bound(n)
-            _check(got == 6 * n, f"tour bound {got} != {6 * n} at n={n}")
-        return f"tour_lower_bound(n) == 6n for n <= {max_n}"
-
-    return _run("metric-tour", body)
-
-
-def check_gn_distance(max_n: int = 50) -> CheckResult:
-    def body() -> str:
-        for n in range(1, max_n + 1):
-            element, word = make_gn(n)
-            _check(a_length(word) == 6 * n, f"defining word length is not 6n at n={n}")
-            _check(evaluate(word) == element, f"defining word failed to replay at n={n}")
-        for n in (1, 2):
-            anchor, _ = make_gn(n)
-            _check(
-                search_distance(anchor, 6 * n) == 6 * n,
-                f"exhaustive search did not give {6 * n} at n={n}",
-            )
-        return f"length-6n words replay for n <= {max_n}; n=1, 2 distances are exactly 6n"
-
-    return _run("metric-gn-distance", body)
-
-
-def check_depth(max_n: int = 4) -> CheckResult:
-    def body() -> str:
-        sizes = []
-        for n in range(1, max_n + 1):
-            certificate = certify_depth(n, n)
-            _check(certificate.verdict == "certified", f"certification failed at n={n}")
-            _check(
-                certificate.max_witness_length <= 6 * n,
-                f"certificate witness exceeded 6n at n={n}",
-            )
-            sizes.append(certificate.neighborhood_size)
-        # the exact depth 2n+1: certified at k = 2n, failed one step further
-        for n in (1, 2):
-            inside, outside = certify_depth(n, 2 * n), certify_depth(n, 2 * n + 1)
-            _check(
-                inside.verdict == "certified"
-                and (outside.verdict, outside.failure_witness) == ("failed", f"s^{2 * n + 1}"),
-                f"dead-end depth of the n={n} anchor is not {2 * n + 1}",
-            )
-        # independent cross-check at n=1: by exhaustive bidirectional search,
-        # every neighbour within distance 2 is inside the radius-6 ball, and
-        # s^3 takes the anchor out of it
-        anchor, _ = make_gn(1)
-        for b in ball_with_depths(2):
-            _check(
-                search_distance(multiply(anchor, b), 6) <= 6,
-                "a neighbour of the n=1 anchor left the radius-6 ball",
-            )
-        try:
-            search_distance(multiply(evaluate(parse("s^3", METRIC)), anchor), 6)
-        except RadiusExceeded:
-            pass
-        else:
-            raise AssertionError("s^3 left the n=1 anchor inside the radius-6 ball")
-        return (
-            f"certified depth > n for n in 1..{max_n}; ball sizes {sizes};"
-            " depth exactly 2n+1 for n in 1..2"
+        w = concat(u, _random_long_word(rng))
+        state = random_element(rng.randint(1, 12), rng.random())
+        _check(
+            act_runs(w.runs, state) == _fold_letters(w.letters, state),
+            "the run fold disagreed with the letter fold",
         )
-
-    return _run("metric-depth", body)
-
-
-def check_spheres(radius: int = 5) -> CheckResult:
-    def body() -> str:
-        moves = move_elements()
-        _check(len(moves) == 17, f"move dedup found {len(moves)} distinct moves")
-        depths = ball_with_depths(radius)
-        spheres: list[set] = [set() for _ in range(radius + 1)]
-        for element, depth in depths.items():
-            spheres[depth].add(element)
-        total = sum(len(s) for s in spheres)
-        _check(total == len(depths), "an element landed in two spheres")
-        sizes = [len(s) for s in spheres]
-        _check(sizes[0] == 1 and sizes[1] == 17, f"first spheres are {sizes[:2]}")
-        for r in range(1, radius + 1):
-            _check(sizes[r] > sizes[r - 1], f"growth stalled at radius {r}")
-        return f"sizes {sizes}; disjoint spheres; |S(1)| matches the 17-move oracle"
-
-    return _run("metric-spheres", body)
+    return (
+        f"{pairs} word pairs of length <= {max_len}; run fold matches the"
+        " letter fold on words with runs up to 60"
+    )
 
 
-SUITES: dict[str, Callable[[], CheckResult]] = {
+def check_word_roundtrip(seed="roundtrip") -> str:
+    samples = 300
+    rng = random.Random(f"rt:{seed}")
+    for _ in range(samples):
+        w = _random_metric_word(rng, 25)
+        _check(parse(format_word(w), METRIC) == w, "format/parse failed to round-trip")
+    relator_words = [Word(runs) for runs in RELATORS.values()]
+    for _ in range(samples // 3):
+        w = _random_metric_word(rng, 15)
+        base = evaluate(w)
+        cut = rng.randint(0, len(w.letters))
+        insert = rng.choice(relator_words)
+        spliced = Word.from_letters(w.letters[:cut] + insert.letters + w.letters[cut:])
+        _check(evaluate(spliced) == base, "relator insertion changed the value")
+    return f"{samples} round-trips, {samples // 3} relator insertions"
+
+
+def check_witness(seed="witness") -> str:
+    samples, max_hex, ball_radius = 500, 25, 4
+    rng = random.Random(f"wit:{seed}")
+    pool = [random_element(rng.randint(1, max_hex), rng.random()) for _ in range(samples)]
+    pool.append(identity())
+    for g in pool:
+        witness = witness_word(g)
+        _check(evaluate(witness) == g, "witness failed to replay")
+        length = a_length(witness)
+        _check(
+            length == halfplane_bound(g) + (g == _A_ELEMENT),
+            "witness is not at the half-plane bound",
+        )
+        _check(length <= 6 * hex_param(g), "witness exceeded the 6n bound")
+    # the origin press is the single exception to the bound: its hexagon
+    # parameter is 0 yet any spelling needs one letter
+    lone = witness_word(_A_ELEMENT)
+    _check(
+        lone == parse("a", METRIC),
+        "origin press should be the letter a",
+    )
+    depths = ball_with_depths(ball_radius)
+    for g, depth in depths.items():
+        witness = witness_word(g)
+        _check(evaluate(witness) == g, "ball witness failed to replay")
+        _check(a_length(witness) == depth, "ball witness is not a geodesic")
+        _check(halfplane_bound(g) <= depth, "half-plane bound above the exact distance")
+    return (
+        f"{samples} random elements with hex <= {max_hex}"
+        f" and all {len(depths)} elements of the radius-{ball_radius} ball"
+        " (witnesses at the half-plane bound and within 6n, geodesic in the ball)"
+    )
+
+
+def check_tour() -> str:
+    max_n = 50
+    _check(tour_lower_bound(0) == 0, "tour bound is not 0 at n=0")
+    for n in range(1, max_n + 1):
+        got = tour_lower_bound(n)
+        _check(got == 6 * n, f"tour bound {got} != {6 * n} at n={n}")
+    return f"tour_lower_bound(n) == 6n for n <= {max_n}"
+
+
+def check_gn_distance() -> str:
+    max_n = 50
+    for n in range(1, max_n + 1):
+        element, word = make_gn(n)
+        _check(a_length(word) == 6 * n, f"defining word length is not 6n at n={n}")
+        _check(evaluate(word) == element, f"defining word failed to replay at n={n}")
+    for n in (1, 2):
+        anchor, _ = make_gn(n)
+        _check(
+            search_distance(anchor, 6 * n) == 6 * n,
+            f"exhaustive search did not give {6 * n} at n={n}",
+        )
+    return f"length-6n words replay for n <= {max_n}; n=1, 2 distances are exactly 6n"
+
+
+def check_depth() -> str:
+    max_n = 4
+    sizes = []
+    for n in range(1, max_n + 1):
+        certificate = certify_depth(n, n)
+        _check(certificate.verdict == "certified", f"certification failed at n={n}")
+        _check(
+            certificate.max_witness_length <= 6 * n,
+            f"certificate witness exceeded 6n at n={n}",
+        )
+        sizes.append(certificate.neighborhood_size)
+    # the exact depth 2n+1: certified at k = 2n, failed one step further
+    for n in (1, 2):
+        inside, outside = certify_depth(n, 2 * n), certify_depth(n, 2 * n + 1)
+        _check(
+            inside.verdict == "certified"
+            and (outside.verdict, outside.failure_witness) == ("failed", f"s^{2 * n + 1}"),
+            f"dead-end depth of the n={n} anchor is not {2 * n + 1}",
+        )
+    # independent cross-check at n=1: by exhaustive bidirectional search,
+    # every neighbour within distance 2 is inside the radius-6 ball, and
+    # s^3 takes the anchor out of it
+    anchor, _ = make_gn(1)
+    for b in ball_with_depths(2):
+        _check(
+            search_distance(multiply(anchor, b), 6) <= 6,
+            "a neighbour of the n=1 anchor left the radius-6 ball",
+        )
+    try:
+        search_distance(multiply(evaluate(parse("s^3", METRIC)), anchor), 6)
+    except RadiusExceeded:
+        pass
+    else:
+        raise AssertionError("s^3 left the n=1 anchor inside the radius-6 ball")
+    return (
+        f"certified depth > n for n in 1..{max_n}; ball sizes {sizes};"
+        " depth exactly 2n+1 for n in 1..2"
+    )
+
+
+def check_spheres() -> str:
+    radius = 5
+    moves = move_elements()
+    _check(len(moves) == 17, f"move dedup found {len(moves)} distinct moves")
+    depths = ball_with_depths(radius)
+    spheres: list[set] = [set() for _ in range(radius + 1)]
+    for element, depth in depths.items():
+        spheres[depth].add(element)
+    total = sum(len(s) for s in spheres)
+    _check(total == len(depths), "an element landed in two spheres")
+    sizes = [len(s) for s in spheres]
+    _check(sizes[0] == 1 and sizes[1] == 17, f"first spheres are {sizes[:2]}")
+    for r in range(1, radius + 1):
+        _check(sizes[r] > sizes[r - 1], f"growth stalled at radius {r}")
+    return f"sizes {sizes}; disjoint spheres; |S(1)| matches the 17-move oracle"
+
+
+SUITES: dict[str, Callable[..., str]] = {
     "core-relators": check_relators,
     "core-bilinearity": check_bilinearity,
     "core-pascal": check_pascal,
@@ -430,7 +408,6 @@ def run(names=None, seed=None) -> list[CheckResult]:
             raise ValueError(f"unknown selftest suite {name!r}")
         check = SUITES[name]
         if seed is not None and name in _SEEDED:
-            results.append(check(seed=seed))
-        else:
-            results.append(check())
+            check = partial(check, seed=seed)
+        results.append(_run(name, check))
     return results

@@ -17,6 +17,10 @@ from lampgrid import (
 from lampgrid import selftest
 
 
+def _suite(name):
+    return selftest.run([name])[0]
+
+
 def _report(number, result, limit=None):
     status = "PASS" if result.ok else "FAIL"
     budget = f" [budget {limit:.0f}s]" if limit is not None else ""
@@ -32,37 +36,33 @@ def _report(number, result, limit=None):
 
 
 def test_c01_relator_suite():
-    _report(1, selftest.check_relators(states=1000), limit=1.0)
+    _report(1, _suite("core-relators"), limit=1.0)
 
 
 def test_c02_press_effect_bilinearity():
-    _report(2, selftest.check_bilinearity(span=12), limit=1.0)
+    _report(2, _suite("core-bilinearity"), limit=1.0)
 
 
 def test_c03_pascal_agreement():
-    _report(3, selftest.check_pascal(max_row=16, q_span=8), limit=1.0)
+    _report(3, _suite("core-pascal"), limit=1.0)
 
 
 def test_c04_hexagon_containment():
-    _report(4, selftest.check_hexagon(max_n=12))
+    _report(4, _suite("core-hexagon"))
 
 
 def test_c05_algebra_vs_words():
-    _report(5, selftest.check_homomorphism(pairs=500, max_len=40))
+    _report(5, _suite("words-homomorphism"))
 
 
 def test_c07_witness_soundness():
-    _report(
-        7,
-        selftest.check_witness(samples=500, max_hex=25, ball_radius=4),
-        limit=60.0,
-    )
+    _report(7, _suite("metric-witness"), limit=60.0)
 
 
 def test_c08_anchor_distance_is_6n():
     start = time.perf_counter()
-    tour = selftest.check_tour(max_n=50)
-    sandwich = selftest.check_gn_distance(max_n=50)
+    tour = _suite("metric-tour")
+    sandwich = _suite("metric-gn-distance")
     elapsed = time.perf_counter() - start
     for result in (tour, sandwich):
         print(
@@ -74,7 +74,7 @@ def test_c08_anchor_distance_is_6n():
 
 
 def test_c09_dead_end_depth_at_desk_scale():
-    _report(9, selftest.check_depth(max_n=4), limit=120.0)
+    _report(9, _suite("metric-depth"), limit=120.0)
     # spelled-out exhaustive cross-check for n=1, neighbour by neighbour
     anchor, _ = make_gn(1)
     for b in ball_with_depths(1):
@@ -85,4 +85,12 @@ def test_c09_dead_end_depth_at_desk_scale():
 
 
 def test_c10_sphere_counts():
-    _report(10, selftest.check_spheres(radius=5))
+    _report(10, _suite("metric-spheres"))
+
+
+def test_c11_press_conjugates_commute():
+    _report(11, _suite("core-conjugates"))
+
+
+def test_c12_word_roundtrip():
+    _report(12, _suite("words-roundtrip"))

@@ -247,6 +247,25 @@ class TestSelftest:
         assert code == 1
         assert "unknown selftest suite" in err
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_seed_reaches_every_seeded_suite(self, capsys, monkeypatch, via):
+        seeds = []
+        generator = selftest.random.Random
+
+        def recorded(seed=None):
+            seeds.append(seed)
+            return generator(seed)
+
+        monkeypatch.setattr(selftest.random, "Random", recorded)
+        if via == "env":
+            monkeypatch.setenv("LAMPGRID_SEED", "7")
+            code, out, _ = run(capsys, "selftest")
+        else:
+            code, out, _ = run(capsys, "selftest", "--seed", "7")
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 12
+        assert {"states:7", "conj:7", "hom:7", "rt:7", "wit:7"} <= set(seeds)
+
     def test_raising_suite_fails_alone(self, capsys, monkeypatch):
         def broken(n):
             raise ValueError("broken bound")

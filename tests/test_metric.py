@@ -749,12 +749,13 @@ class TestCertifyDepth:
 
     @pytest.mark.parametrize(
         "n, ks",
-        [(1, range(4)), (2, range(6)), (3, range(8)), (4, [4])],
-        ids=["g1-k0to3", "g2-k0to5", "g3-k0to7", "g4-k4"],
+        [(1, range(5)), (2, range(6)), (3, range(8)), (4, [4])],
+        ids=["g1-k0to4", "g2-k0to5", "g3-k0to7", "g4-k4"],
     )
     def test_matches_a_fresh_witness_for_every_neighbour(self, n, ks):
         # The route before upper bounds were carried along the search:
         # exact_distance of every b * anchor, over the ball in its order.
+        # (1, 4) fails in layer 3 and then only counts B(4), 1050 elements.
         anchor, _ = make_gn(n)
         ball = ball_with_depths(max(ks))
         lengths = {}
@@ -830,6 +831,7 @@ class TestCertifyDepth:
         certificate = certify_depth(n, 2 * n)
         assert (certificate.verdict, certificate.neighborhood_size) == ("certified", inside)
         assert certificate.max_witness_length == 6 * n
+        assert f"dead-end depth of the anchor is at least {2 * n + 1}" in certificate.describe()
         certificate = certify_depth(n, 2 * n + 1)
         assert (certificate.verdict, certificate.neighborhood_size) == ("failed", outside)
         assert certificate.failure_witness == f"s^{2 * n + 1}"
