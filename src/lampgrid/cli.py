@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--memory-limit-mb", type=int,
             default=_env("MEMORY_LIMIT_MB", metric.DEFAULT_MEMORY_LIMIT_MB),
-            help="memory cap for the search, in MiB",
+            help="memory cap, in MiB",
         )
 
     def common(p, word_args=()):

@@ -16,10 +16,11 @@ every element.  Inside H_n the bound is at most 6n, and the triple-lamp
 anchor g_n of :func:`make_gn` needs exactly 6n.  :func:`certify_depth`
 bounds every neighbour of g_n within distance k as it searches them:
 below by the half-plane lemma, above by a replayed word, either a fresh
-witness or a replayed parent word plus one letter.  So both of its
-verdicts are proofs: depth > k when all stay within 6n, depth = |b| for
-the first b, in breadth-first order, that leaves.  For n <= 6 that b is
-s^(2n+1): depth(g_n) = 2n + 1.
+witness or a replayed parent word plus one letter, in one loop that grows
+and bounds its ball a layer at a time.  So both of its verdicts are
+proofs: depth > k when all stay within 6n, depth = |b| for the first b,
+in breadth-first order, that leaves, whose replayed witness it prints.
+For n <= 6 that b is s^(2n+1): depth(g_n) = 2n + 1.
 
 Breadth-first searches here are sequential and deterministic: given the
 same inputs they produce identical counts and certificates.
@@ -113,12 +114,12 @@ _SEARCH_COST = 1024 + 7 * getsizeof(frozenset())
 
 
 class RadiusExceeded(RuntimeError):
-    """The distance is only bounded below: it exceeds the search radius."""
+    """The distance is only bounded below: it exceeds the given radius."""
 
     def __init__(self, max_radius: int, bound: int = 0):
         self.max_radius = max_radius
         super().__init__(
-            f"distance exceeds search radius {max_radius};"
+            f"distance exceeds radius {max_radius};"
             f" it is at least {max(max_radius + 1, bound)}"
         )
 
@@ -691,10 +692,10 @@ class DepthCertificate:
     ``verdict == "certified"`` means: every element within distance k of
     the anchor element has word length at most ``ball_radius`` (= 6n), so
     the anchor's dead-end depth is at least k+1.  ``verdict == "failed"``
-    means: the offset b spelled by ``failure_witness``, a geodesic of length
-    d <= k (:func:`witness_word`), takes the anchor out of that ball, and
-    every shorter offset keeps it within, so its dead-end depth is exactly
-    d.  ``max_witness_length`` is the longest replayed word the
+    means: the offset b spelled by ``failure_witness``, a replayed
+    geodesic of length d <= k (:func:`witness_word`), takes the anchor out
+    of that ball, and every shorter offset keeps it within, so its dead-end
+    depth is exactly d.  ``max_witness_length`` is the longest replayed word the
     certifier holds for a neighbour.  It is always 6n: the neighbour b = 1
     is the anchor itself, of length exactly 6n by :func:`halfplane_bound`
     and the replayed word of :func:`make_gn`, and no bound is kept past
@@ -742,64 +743,6 @@ class DepthCertificate:
         return "\n".join(lines)
 
 
-def _bound_layer(
-    anchor: Element,
-    radius: int,
-    parents: list[Element],
-    parent_bounds: list[int],
-    layer: list[Element],
-    origins: list[int],
-    memory_limit_mb: int | None,
-) -> tuple[Element | None, list[int]]:
-    """Upper bounds on |b * anchor| for the b of ``layer``, in its order.
-
-    ``origins`` comes from :meth:`_Search.grow`: b = m * parent for a move
-    m, so b * anchor = m * (parent * anchor), spelled by the parent's word
-    with m's letter prepended.  A parent whose carried bound has reached
-    ``radius`` is first measured once by :func:`exact_distance`, when the
-    layer reaches its first child, so its children inherit its length
-    rather than ``radius``.  While the parent's bound is below ``radius``,
-    b gets that bound plus one, and the extension is replayed: m's letter
-    acts on parent * anchor by :func:`act_runs` and must give b * anchor,
-    else ``RuntimeError``.  Otherwise the parent's length is ``radius``,
-    and b is measured afresh by :func:`exact_distance` at ``radius``.
-    Returns the bounds, and the first b, in layer order, whose translate
-    is proved longer than ``radius`` (bounding stops there), or None when
-    there is none.
-
-    The anchor must sit at the origin, as the involution check of
-    :func:`certify_depth` proves (u*u = 1 forces 2 * u.pos = 0).  Then
-    ``multiply(b, anchor)`` re-presses b's lamps where they lie, on the
-    lampstand, and each such press toggles just its own lamp: b * anchor
-    is b's lamps XOR the anchor's, at b's position, one XOR per translate.
-    """
-    width = len(_MOVES)
-    lit = anchor.lamps
-    bounds: list[int] = []
-    last = -1
-    for b, origin in zip(layer, origins):
-        i, m = divmod(origin, width)
-        translate = Element(b.lamps ^ lit, b.pos)
-        if i != last:
-            # Recomputed per parent, so the frontier holds no translates.
-            parent = parents[i]
-            parent_translate = Element(parent.lamps ^ lit, parent.pos)
-            bound = parent_bounds[i]
-            if bound >= radius:
-                bound = exact_distance(parent_translate, radius, memory_limit_mb)
-            last = i
-        if bound < radius:
-            if act_runs(_MOVE_RUNS[m], parent_translate) != translate:
-                raise RuntimeError(f"a one-letter extension does not replay to {b}")
-            bounds.append(bound + 1)
-        else:
-            try:
-                bounds.append(exact_distance(translate, radius, memory_limit_mb))
-            except RadiusExceeded:
-                return b, bounds
-    return None, bounds
-
-
 def certify_depth(
     n: int, k: int, memory_limit_mb: int | None = None
 ) -> DepthCertificate:
@@ -808,24 +751,36 @@ def certify_depth(
     The neighbourhood of the anchor u consists of the products u*b for b
     in the radius-k ball.  Word length is inversion-invariant and u is an
     involution, so |u*b| = |b^-1*u|, and b -> b^-1 permutes the ball; the
-    certifier therefore bounds the left-translates b*u instead, layer by
-    layer as it grows the ball (:class:`_Search`).  The upper side of
-    each bound is a replayed word.  For b = 1 it is the defining word of
-    :func:`make_gn`, which must replay to u in 6n letters, while
-    :func:`halfplane_bound` must give 6n for the lower side; that proves
-    |u| = 6n, which is why ``max_witness_length`` is 6n.  Every later b
-    inherits its first parent's bound plus one, its word extended by one
-    letter and replayed (:func:`_bound_layer`).  A parent whose bound has
-    reached 6n is measured once by :func:`exact_distance`, so its children
-    inherit its length instead; u is the first such parent, of B(1).  Only
-    where that length is 6n is b*u measured afresh, at radius 6n.  The
-    first b, in breadth-first order, whose translate is longer than 6n
+    certifier therefore bounds the left-translates b*u instead, in one
+    loop that grows the ball a layer at a time (:meth:`_Search.grow`) and
+    bounds each new layer in its order.  The upper side of each bound is a
+    replayed word.  For b = 1 it is the defining word of :func:`make_gn`,
+    which must replay to u in 6n letters, while :func:`halfplane_bound`
+    must give 6n for the lower side; that proves |u| = 6n, which is why
+    ``max_witness_length`` is 6n.  The ``origins`` of the search give each
+    later b as m * parent for a move m, so b*u = m * (parent*u) is spelled
+    by the parent's word with m's letter prepended: b inherits its first
+    parent's bound plus one, and m's letter must act on parent*u
+    (:func:`act_runs`) to give b*u, else ``RuntimeError``.  A parent whose
+    bound has reached 6n is measured once by :func:`exact_distance`, when
+    the layer reaches its first child, so its children inherit its length
+    rather than 6n; u is the first such parent, of B(1).  Only where that
+    length is 6n is b*u measured afresh, at radius 6n.
+
+    The involution check proves that u sits at the origin (u*u = 1 forces
+    2 * u.pos = 0).  So ``multiply(b, u)`` re-presses b's lamps where they
+    lie, on the lampstand, each press toggling just its own lamp: b*u is
+    b's lamps XOR u's, at b's position, one XOR per translate.
+
+    The first b, in breadth-first order, whose translate is longer than 6n
     fails the certificate; since :func:`exact_distance` raises on its
     proved lower bound and every earlier layer passed, a failure proves
-    depth = |b|, the length of b's :func:`witness_word`.  After a failure
-    the search only counts the rest of the ball, for ``neighborhood_size``.
-    ``memory_limit_mb`` caps the ball and each fresh witness (default
-    ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).
+    depth = |b|.  b's :func:`witness_word` must replay to b in as many
+    letters as b's layer, else ``RuntimeError``, so the printed word's
+    length is that depth.  After a failure the loop only grows the rest of
+    the ball, for ``neighborhood_size``.  ``memory_limit_mb`` caps the
+    ball and each fresh witness (default ``DEFAULT_MEMORY_LIMIT_MB``, read
+    at call time).
 
     Requires n >= 1 and k >= 0.
     """
@@ -838,20 +793,38 @@ def certify_depth(
     if not halfplane_bound(anchor) == a_length(word) == radius:
         raise RuntimeError("anchor is expected to have length 6n")
     search = _ball(k, memory_limit_mb)
-    bounds = [radius]
-    failure = None
-    while failure is None and search.radius < k:
-        parents, origins = search.frontier, []
-        layer = search.grow(origins)
-        search.budget.spend(_BOUND_COST * len(layer))
-        failure, bounds = _bound_layer(
-            anchor, radius, parents, bounds, layer, origins, memory_limit_mb
-        )
+    width, lit = len(_MOVES), anchor.lamps
+    bounds, failure = [radius], None
     while search.radius < k:
-        search.grow()
+        parents, parent_bounds, origins, bounds = search.frontier, bounds, [], []
+        layer = search.grow(origins if failure is None else None)
+        search.budget.spend(_BOUND_COST * len(origins))
+        last = -1
+        for b, origin in zip(layer, origins):
+            i, m = divmod(origin, width)
+            translate = Element(b.lamps ^ lit, b.pos)
+            if i != last:
+                # Recomputed per parent, so the frontier holds no translates.
+                lamps, pos = parents[i]
+                parent_translate = Element(lamps ^ lit, pos)
+                bound = parent_bounds[i]
+                if bound >= radius:
+                    bound = exact_distance(parent_translate, radius, memory_limit_mb)
+                last = i
+            if bound < radius:
+                if act_runs(_MOVE_RUNS[m], parent_translate) != translate:
+                    raise RuntimeError(f"a one-letter extension does not replay to {b}")
+                bounds.append(bound + 1)
+            else:
+                try:
+                    bounds.append(exact_distance(translate, radius, memory_limit_mb))
+                except RadiusExceeded:
+                    failure, depth = b, search.radius
+                    break
     size = len(search.depths)
     if failure is None:
         return DepthCertificate(n, k, radius, size, radius, "certified", None)
-    return DepthCertificate(
-        n, k, radius, size, radius, "failed", format_word(witness_word(failure))
-    )
+    word = witness_word(failure)
+    if a_length(word) != depth or evaluate(word) != failure:
+        raise RuntimeError(f"the failure witness does not replay in {depth} letters")
+    return DepthCertificate(n, k, radius, size, radius, "failed", format_word(word))

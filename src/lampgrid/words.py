@@ -211,7 +211,7 @@ ACTIONS: dict[Letter, tuple[bool, Pos, bool]] = {
 LONG_RUN = 32
 
 # A run's net effect is refused when it toggles more lamps than this, twice
-# what one press may toggle.
+# what one press may toggle, and so is a lamp set that runs build up past it.
 RUN_LAMP_LIMIT = 2 * PRESS_LAMP_LIMIT
 
 
@@ -312,7 +312,10 @@ def act_runs(runs, state: Element) -> Element:
     ``PRESS_LAMP_LIMIT`` lamps in all.  The segment builds two presses,
     so for presses that large it costs no more from three letters on, and
     its gain grows with the count.  The runs are folded on one mutable lamp
-    set and position; ``state`` itself is left as it was.
+    set and position; ``state`` itself is left as it was.  After each run
+    that presses, the set may hold at most ``RUN_LAMP_LIMIT`` lamps, else
+    ``ValueError`` naming the count, so runs that each stay within the
+    limit cannot build up an unbounded set.
     """
     lamps = set(state.lamps)
     p, q = state.pos
@@ -325,30 +328,31 @@ def act_runs(runs, state: Element) -> Element:
         if not (dp or dq):
             if count & 1:
                 lamps ^= press_effect((p, q))
-            continue
-        if before and after:
+        elif before and after:
             lamps ^= press_effect((p, q))
             p += count * dp
             q += count * dq
             lamps ^= press_effect((p, q))
-            continue
-        first = (p, q) if before else (p + dp, q + dq)
-        if count > LONG_RUN or count > 2 and _presses_exceed_limit(first, count):
-            try:
-                lamps ^= _segment_effect(first, (dp, dq), count)
-            except ValueError as exc:
-                raise ValueError(f"run {letter.base}^{letter.sign * count}: {exc}") from None
-            p += count * dp
-            q += count * dq
-            continue
-        while count:
-            if before:
-                lamps ^= press_effect((p, q))
-            p += dp
-            q += dq
-            if after:
-                lamps ^= press_effect((p, q))
-            count -= 1
+        else:
+            first = (p, q) if before else (p + dp, q + dq)
+            if count > LONG_RUN or count > 2 and _presses_exceed_limit(first, count):
+                try:
+                    lamps ^= _segment_effect(first, (dp, dq), count)
+                except ValueError as exc:
+                    raise ValueError(f"run {letter.base}^{letter.sign * count}: {exc}") from None
+                p += count * dp
+                q += count * dq
+            else:
+                while count:
+                    if before:
+                        lamps ^= press_effect((p, q))
+                    p += dp
+                    q += dq
+                    if after:
+                        lamps ^= press_effect((p, q))
+                    count -= 1
+        if len(lamps) > RUN_LAMP_LIMIT:
+            raise ValueError(f"{len(lamps)} lamps lit, over the limit of {RUN_LAMP_LIMIT}")
     return Element(frozenset(lamps), (p, q))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lampgrid
-from lampgrid import cli, metric, selftest
+from lampgrid import cli, metric, selftest, words
 from lampgrid.cli import main
 
 
@@ -41,6 +41,11 @@ class TestEval:
         code, _, err = run(capsys, "eval", "x")
         assert code == 1
         assert "'x'" in err
+
+    def test_lamp_set_over_the_limit_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(words, "RUN_LAMP_LIMIT", 6)
+        code, out, err = run(capsys, "eval", "at^4 t^4 at^4", "--alphabet", "metric")
+        assert (code, out, err) == (1, "", "error: 8 lamps lit, over the limit of 6\n")
 
     def test_exponent_that_is_not_ascii_digits_fails(self, capsys):
         code, out, err = run(capsys, "eval", "s^1_000", "--alphabet", "metric")
@@ -146,6 +151,9 @@ class TestNumericCommands:
         code, out, _ = run(capsys, "spheres", "1")
         assert code == 0
         assert out.strip() == "[1, 17]"
+        code, out, err = run(capsys, "spheres", "-1")
+        assert (code, out) == (1, "")
+        assert "radius must be nonnegative" in err
 
     def test_mul(self, capsys):
         code, out, _ = run(capsys, "mul", "t", "a", "--json")
@@ -213,6 +221,17 @@ class TestRender:
         code, out, _ = run(capsys, "render", "a t")
         assert code == 0
         assert "*" in out and "L" in out
+        code, text, _ = run(capsys, "render", "a t", "--json")
+        assert code == 0
+        assert json.loads(text) == {
+            "element": {"lamps": [[0, 1]], "pos": [0, 1]},
+            "lines": out.splitlines(),
+        }
+
+    def test_counts_lamps_outside_the_window(self, capsys):
+        code, out, _ = run(capsys, "render", "t^5 a t^-5 s^3 a s^-3", "--window", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == "(2 lit lamp(s) outside this window)"
 
     def test_negative_window_fails(self, capsys):
         code, out, err = run(capsys, "render", "a", "--window", "-2")
@@ -267,19 +286,23 @@ class TestSelftest:
         assert {"states:7", "conj:7", "hom:7", "rt:7", "wit:7"} <= set(seeds)
 
     def test_raising_suite_fails_alone(self, capsys, monkeypatch):
+        # One suite raises, another fails a check; each fails alone.
         def broken(n):
             raise ValueError("broken bound")
 
         monkeypatch.setattr(selftest, "tour_lower_bound", broken)
-        suites = ("core-pascal", "metric-tour", "core-hexagon")
+        monkeypatch.setattr(selftest, "in_hex", lambda pos, n: False)
+        suites = ("core-pascal", "metric-tour", "core-hexagon", "core-bilinearity")
         code, out, _ = run(capsys, "selftest", *(f"--suite={name}" for name in suites))
         lines = out.splitlines()
         assert [line.split()[:2] for line in lines] == [
             ["PASS", "core-pascal"],
             ["FAIL", "metric-tour"],
-            ["PASS", "core-hexagon"],
+            ["FAIL", "core-hexagon"],
+            ["PASS", "core-bilinearity"],
         ]
         assert lines[1].endswith("ValueError: broken bound")
+        assert lines[2].endswith("press at (0, 0) escapes the hexagon H_0")
         assert code == 1
 
     def test_checks_hold_under_optimize(self):

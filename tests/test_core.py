@@ -306,6 +306,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="duplicate"):
             element_from_json({"lamps": [[0, 1], [0, 1]], "pos": [0, 0]})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"lamps": [], "pos": [0.5, 0]}, "pos p must be an integer, got 0.5"),
+            ({"lamps": [[0, True]], "pos": [0, 0]}, "lamp q must be an integer, got True"),
+            ({"lamps": []}, "exactly the keys"),
+            ({"lamps": [], "pos": [0, 0], "n": 1}, "exactly the keys"),
+            ({"lamps": [], "pos": [0]}, "'pos' must be a pair"),
+            ({"lamps": [], "pos": "00"}, "'pos' must be a pair"),
+            ({"lamps": [[0]], "pos": [0, 0]}, "each lamp must be a pair"),
+        ],
+        ids=["float-pos", "bool-lamp", "missing-key", "extra-key", "short-pos",
+             "string-pos", "short-lamp"],
+    )
+    def test_rejects_malformed_json(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            element_from_json(data)
+
     @pytest.mark.parametrize("lamps", [5, None, {"0": 1}])
     def test_rejects_non_list_lamps(self, lamps):
         with pytest.raises(ValueError, match="'lamps'"):

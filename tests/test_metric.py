@@ -295,6 +295,10 @@ class TestExactDistance:
             exact_distance(anchor, 3)
         assert info.value.max_radius == 3
 
+    def test_radius_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_r must be positive"):
+            exact_distance(identity(), 0)
+
     def test_bound_gives_up_before_searching(self, monkeypatch):
         def no_search(*args):
             raise AssertionError("searched although the bound exceeds the radius")
@@ -796,6 +800,19 @@ class TestCertifyDepth:
         monkeypatch.setattr(metric, "act_runs", lambda runs, state: state)
         with pytest.raises(RuntimeError, match="does not replay"):
             certify_depth(1, 2)
+
+    def test_a_failure_word_that_does_not_replay_is_refused(self, monkeypatch):
+        # A witness for s^3 one letter short: the printed word would claim
+        # depth 2 for the (1, 3) failure found in layer 3.
+        escape = evaluate(parse("s^3", METRIC))
+        build = metric.witness_word
+
+        def short(g, *args):
+            return parse("s^2", METRIC) if g == escape else build(g, *args)
+
+        monkeypatch.setattr(metric, "witness_word", short)
+        with pytest.raises(RuntimeError, match="failure witness does not replay in 3 letters"):
+            certify_depth(1, 3)
 
     @staticmethod
     def fresh_witnesses(monkeypatch, n, k):

@@ -68,6 +68,10 @@ class TestParse:
         with pytest.raises(WordError, match="unknown base"):
             parse("x", METRIC)
 
+    def test_unknown_alphabet(self):
+        with pytest.raises(ValueError, match="unknown alphabet tag 'latin'"):
+            parse("s", "latin")
+
     def test_compound_base_rejected_in_presentation(self):
         with pytest.raises(WordError, match="unknown base"):
             parse("sa t", PRESENTATION)
@@ -252,6 +256,9 @@ class TestRunFold:
         word = parse("s^-1 at^6 ta^7", METRIC)
         with pytest.raises(ValueError, match=r"run ta\^7: toggles 7 lamps, over the limit of 6"):
             evaluate(word)
+        # Each run lights 4 lamps, within the limit; together they light 8.
+        with pytest.raises(ValueError, match=r"^8 lamps lit, over the limit of 6$"):
+            evaluate(parse("at^4 t^4 at^4", METRIC))
         assert evaluate(parse("at^-6 at^6", METRIC)) == identity()
 
     def test_long_lampstand_runs_cancel(self):
