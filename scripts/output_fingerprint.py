@@ -10,8 +10,9 @@ It prints sphere sizes, depth certificates as ``certify-depth n n --json``
 prints them, and the failed ones of ``certify-depth n 2n+1 --json``, one
 past the anchor's depth, so both verdicts are pinned; the witness word
 and exact distance of every element of a ball, in the ball's order, and
-the stdout, stderr and exit code of the CLI's word commands on a fixed
-list of words in both alphabets, malformed ones included.  ``--quick``
+the stdout, stderr and exit code of the CLI's word commands (``render``
+included) on a fixed list of words in both alphabets, malformed ones
+included, and of ``tour`` and ``spheres`` on a few numbers.  ``--quick``
 uses a smaller radius and fewer anchors, so that the test suite can run
 it in a few seconds and compare it with ``tests/data/fingerprint_quick.txt``.
 """
@@ -65,6 +66,8 @@ WORDS = (
 COMMANDS = (
     ("eval", "WORD"),
     ("eval", "WORD", "--json"),
+    ("render", "WORD", "--window", "2"),
+    ("render", "WORD", "--window", "2", "--json"),
     ("inv", "WORD"),
     ("inv", "WORD", "--json"),
     ("mul", "WORD", "s a t^-1", "--json"),
@@ -72,6 +75,16 @@ COMMANDS = (
     ("witness", "WORD", "--json"),
     ("dist", "WORD"),
     ("dist", "WORD", "--json", "--max-radius", "4"),
+)
+
+# Commands that take a number, not a word, a negative one included.
+NUMERIC_COMMANDS = (
+    ("tour", "3"),
+    ("tour", "3", "--json"),
+    ("tour", "-1"),
+    ("spheres", "2"),
+    ("spheres", "2", "--json"),
+    ("spheres", "-1"),
 )
 
 
@@ -112,6 +125,11 @@ def main() -> int:
             argv = [word if arg == "WORD" else arg for arg in command]
             print(f"$ lampgrid {' '.join(map(repr, argv))} --alphabet {alphabet}")
             print(cli(argv + ["--alphabet", alphabet]))
+
+    print("# CLI numeric commands")
+    for argv in NUMERIC_COMMANDS:
+        print(f"$ lampgrid {' '.join(map(repr, argv))}")
+        print(cli(list(argv)))
     return 0
 
 

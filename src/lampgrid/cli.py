@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: eval, render, mul, inv, dist, witness, tour, spheres,
-certify-depth, selftest.  Every flag can also be supplied through an
-environment variable with the ``LAMPGRID_`` prefix (``LAMPGRID_SEED``,
-``LAMPGRID_MAX_RADIUS``, ...); explicit flags win.
+certify-depth, selftest.  The flags --alphabet, --json, --max-radius,
+--memory-limit-mb and --seed can also be supplied through environment
+variables with the ``LAMPGRID_`` prefix (``LAMPGRID_MAX_RADIUS``, ...).
+Explicit flags win, and a bad value is a usage error (exit 2).
 
 Exit codes: 0 success, 1 domain error (bad word, search or memory limits,
 render window) or a failed depth certificate, 2 usage error.
@@ -46,80 +47,75 @@ def _env_flag(name: str) -> bool:
     return raw.lower() not in ("", "0", "false", "no")
 
 
-def _print_element(el: Element, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(element_to_json(el)))
-    else:
-        lamps = " ".join(f"({p},{q})" for p, q in sorted(el.lamps)) or "(none)"
-        print(f"pos: ({el.pos[0]},{el.pos[1]})")
-        print(f"lamps: {lamps}")
+def _alphabet(text: str) -> str:
+    # argparse checks ``choices`` only on the command line, not on LAMPGRID_ALPHABET.
+    if text not in (PRESENTATION, METRIC):
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {PRESENTATION!r}, {METRIC!r})"
+        )
+    return text
 
 
-def cmd_eval(args) -> int:
-    _print_element(evaluate(parse(args.word, args.alphabet)), args.json)
-    return 0
+def _word(args, name: str = "word") -> Element:
+    return evaluate(parse(getattr(args, name), args.alphabet))
 
 
-def cmd_render(args) -> int:
-    el = evaluate(parse(args.word, args.alphabet))
+def _emit(args, data, *text) -> None:
+    """Print ``data`` as one JSON line under ``--json``, else the text lines."""
+    print(json.dumps(data) if args.json else "\n".join(map(str, text)))
+
+
+def _print_element(args, el: Element) -> None:
+    lamps = " ".join(f"({p},{q})" for p, q in sorted(el.lamps)) or "(none)"
+    _emit(args, element_to_json(el), f"pos: ({el.pos[0]},{el.pos[1]})", f"lamps: {lamps}")
+
+
+def cmd_eval(args) -> None:
+    _print_element(args, _word(args))
+
+
+def cmd_render(args) -> None:
+    el = _word(args)
     lines = render_element(el, args.window)
-    if args.json:
-        print(json.dumps({"element": element_to_json(el), "lines": lines}))
-    else:
-        print("\n".join(lines))
-    return 0
+    _emit(args, {"element": element_to_json(el), "lines": lines}, *lines)
 
 
-def cmd_mul(args) -> int:
-    left = evaluate(parse(args.left, args.alphabet))
-    right = evaluate(parse(args.right, args.alphabet))
-    _print_element(multiply(left, right), args.json)
-    return 0
+def cmd_mul(args) -> None:
+    _print_element(args, multiply(_word(args, "left"), _word(args, "right")))
 
 
-def cmd_inv(args) -> int:
-    _print_element(inverse(evaluate(parse(args.word, args.alphabet))), args.json)
-    return 0
+def cmd_inv(args) -> None:
+    _print_element(args, inverse(_word(args)))
 
 
-def cmd_dist(args) -> int:
-    el = evaluate(parse(args.word, args.alphabet))
-    distance = exact_distance(el, args.max_radius, args.memory_limit_mb)
-    print(json.dumps({"distance": distance}) if args.json else distance)
-    return 0
+def cmd_dist(args) -> None:
+    distance = exact_distance(_word(args), args.max_radius, args.memory_limit_mb)
+    _emit(args, {"distance": distance}, distance)
 
 
-def cmd_witness(args) -> int:
-    el = evaluate(parse(args.word, args.alphabet))
+def cmd_witness(args) -> None:
+    el = _word(args)
     witness = witness_word(el)
     if evaluate(witness) != el:
         raise RuntimeError("the witness word does not replay")
-    length = a_length(witness)
-    bound = 6 * hex_param(el)
-    if args.json:
-        print(json.dumps({
-            "word": format_word(witness),
-            "a_length": length,
-            "bound": bound,
-            "hex_param": hex_param(el),
-        }))
-    else:
-        print(f"witness: {format_word(witness) or '(empty)'}")
-        print(f"a-length: {length}   bound 6n: {bound}")
-    return 0
+    length, n = a_length(witness), hex_param(el)
+    _emit(
+        args,
+        {"word": format_word(witness), "a_length": length, "bound": 6 * n, "hex_param": n},
+        f"witness: {format_word(witness) or '(empty)'}",
+        f"a-length: {length}   bound 6n: {6 * n}",
+    )
 
 
-def cmd_tour(args) -> int:
+def cmd_tour(args) -> None:
     check_coord(args.n, "n")
     result = tour_lower_bound(args.n)
-    print(json.dumps({"n": args.n, "tour_length": result}) if args.json else result)
-    return 0
+    _emit(args, {"n": args.n, "tour_length": result}, result)
 
 
-def cmd_spheres(args) -> int:
+def cmd_spheres(args) -> None:
     sizes = sphere_sizes(args.radius, args.memory_limit_mb)
-    print(json.dumps({"sizes": sizes}) if args.json else sizes)
-    return 0
+    _emit(args, {"sizes": sizes}, sizes)
 
 
 def cmd_certify(args) -> int:
@@ -127,9 +123,8 @@ def cmd_certify(args) -> int:
         print("usage error: require 1 <= n and 0 <= k", file=sys.stderr)
         return 2
     certificate = certify_depth(args.n, args.k, args.memory_limit_mb)
-    print(json.dumps(certificate.to_json()))
-    if not args.json:
-        print(certificate.describe())
+    data = certificate.to_json()
+    _emit(args, data, json.dumps(data), certificate.describe())
     return 0 if certificate.verdict == "certified" else 1
 
 
@@ -194,95 +189,75 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def memory_cap(p):
-        # Read at parse time, so the cap follows metric.DEFAULT_MEMORY_LIMIT_MB.
-        p.add_argument(
-            "--memory-limit-mb", type=int,
-            default=_env("MEMORY_LIMIT_MB", metric.DEFAULT_MEMORY_LIMIT_MB),
-            help="memory cap, in MiB",
-        )
-
-    def common(p, word_args=()):
-        for name in word_args:
-            p.add_argument(name)
-        p.add_argument(
-            "--alphabet",
-            choices=(PRESENTATION, METRIC),
+    # Defaults are read when the parser is built, so each follows its
+    # LAMPGRID_ variable and the cap follows metric.DEFAULT_MEMORY_LIMIT_MB.
+    flags = {
+        "--alphabet": dict(
+            type=_alphabet, choices=(PRESENTATION, METRIC),
             default=_env("ALPHABET", PRESENTATION),
             help="alphabet for word arguments (default: presentation)",
-        )
-        p.add_argument(
-            "--json", action="store_true", default=_env_flag("JSON"),
-            help="emit JSON output",
-        )
+        ),
+        "--json": dict(action="store_true", default=_env_flag("JSON"), help="emit JSON output"),
+        "--window": dict(
+            type=int, help=f"half-width of the drawn window, at most {MAX_RENDER_WINDOW}"
+        ),
+        "--max-radius": dict(
+            type=int, default=_env("MAX_RADIUS", 10),
+            help="largest distance reported exactly; beyond it only a lower bound is reported",
+        ),
+        "--memory-limit-mb": dict(
+            type=int, default=_env("MEMORY_LIMIT_MB", metric.DEFAULT_MEMORY_LIMIT_MB),
+            help="memory cap, in MiB",
+        ),
+        "--suite": dict(action="append", help="run only the named suite (repeatable)"),
+        "--seed": dict(
+            type=int, default=_env("SEED", None),
+            help="reseed the randomized suites (default: built-in seeds)",
+        ),
+    }
 
-    p = sub.add_parser("eval", help="evaluate a word to its normal form")
-    common(p, ("word",))
-    p.set_defaults(func=cmd_eval)
+    def command(name, func, text, names, **positionals):
+        p = sub.add_parser(name, help=text)
+        for arg, kind in positionals.items():
+            p.add_argument(arg, type=kind)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("render", help="evaluate a word and draw the state")
-    common(p, ("word",))
-    p.add_argument("--window", type=int, default=None, help=f"half-width of the drawn window, at most {MAX_RENDER_WINDOW}")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("mul", help="multiply two words (right factor acts first)")
-    common(p, ("left", "right"))
-    p.set_defaults(func=cmd_mul)
-
-    p = sub.add_parser("inv", help="invert a word")
-    common(p, ("word",))
-    p.set_defaults(func=cmd_inv)
-
-    p = sub.add_parser(
-        "dist",
-        help="exact distance to the identity: the half-plane bound (1 for a),"
+    words = ("--alphabet", "--json")
+    command("eval", cmd_eval, "evaluate a word to its normal form", words, word=str)
+    command(
+        "render", cmd_render, "evaluate a word and draw the state", (*words, "--window"), word=str
+    )
+    command(
+        "mul", cmd_mul, "multiply two words (right factor acts first)", words, left=str, right=str
+    )
+    command("inv", cmd_inv, "invert a word", words, word=str)
+    command(
+        "dist", cmd_dist,
+        "exact distance to the identity: the half-plane bound (1 for a),"
         " proved by a witness word of that length that is replayed, with no search",
+        (*words, "--max-radius", "--memory-limit-mb"), word=str,
     )
-    common(p, ("word",))
-    p.add_argument(
-        "--max-radius", type=int, default=_env("MAX_RADIUS", 10),
-        help="largest distance reported exactly; beyond it only a lower bound is reported",
+    command(
+        "witness", cmd_witness,
+        "geodesic witness word, of length <= 6n, replayed before it is printed", words, word=str,
     )
-    memory_cap(p)
-    p.set_defaults(func=cmd_dist)
-
-    p = sub.add_parser(
-        "witness", help="geodesic witness word, of length <= 6n, replayed before it is printed"
+    command(
+        "tour", cmd_tour, "half-plane lower bound 6n on the length of the n-th anchor",
+        ("--json",), n=int,
     )
-    common(p, ("word",))
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("tour", help="half-plane lower bound 6n on the length of the n-th anchor")
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
-    p.set_defaults(func=cmd_tour)
-
-    p = sub.add_parser("spheres", help="sphere sizes |S(0)|..|S(r)|")
-    p.add_argument("radius", type=int)
-    memory_cap(p)
-    p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
-    p.set_defaults(func=cmd_spheres)
-
-    p = sub.add_parser(
-        "certify-depth",
-        help="prove dead-end depth > k for the n-th anchor (exit 0), or <= k (exit 1);"
+    command(
+        "spheres", cmd_spheres, "sphere sizes |S(0)|..|S(r)|",
+        ("--memory-limit-mb", "--json"), radius=int,
+    )
+    command(
+        "certify-depth", cmd_certify,
+        "prove dead-end depth > k for the n-th anchor (exit 0), or <= k (exit 1);"
         " every neighbour is proved within 6n by a replayed word, or past it",
+        ("--memory-limit-mb", "--json"), n=int, k=int,
     )
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    memory_cap(p)
-    p.add_argument("--json", action="store_true", default=_env_flag("JSON"))
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("selftest", help="run the built-in invariant suites")
-    p.add_argument("--suite", action="append", help="run only the named suite (repeatable)")
-    p.add_argument(
-        "--seed", type=int, default=_env("SEED", None),
-        help="reseed the randomized suites (default: built-in seeds)",
-    )
-    p.set_defaults(func=cmd_selftest)
-
+    command("selftest", cmd_selftest, "run the built-in invariant suites", ("--suite", "--seed"))
     return parser
 
 
@@ -290,7 +265,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A handler returns its exit code, or None on success.
+        return args.func(args) or 0
     except WordError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

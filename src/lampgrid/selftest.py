@@ -14,6 +14,7 @@ they hold under ``python -O``.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass
@@ -390,14 +391,6 @@ SUITES: dict[str, Callable[..., str]] = {
     "metric-spheres": check_spheres,
 }
 
-_SEEDED = {
-    "core-relators",
-    "core-conjugates",
-    "words-homomorphism",
-    "words-roundtrip",
-    "metric-witness",
-}
-
 
 def run(names=None, seed=None) -> list[CheckResult]:
     """Run the named suites (all by default); ``seed`` reseeds the random ones."""
@@ -407,7 +400,7 @@ def run(names=None, seed=None) -> list[CheckResult]:
         if name not in SUITES:
             raise ValueError(f"unknown selftest suite {name!r}")
         check = SUITES[name]
-        if seed is not None and name in _SEEDED:
+        if seed is not None and "seed" in inspect.signature(check).parameters:
             check = partial(check, seed=seed)
         results.append(_run(name, check))
     return results

@@ -286,23 +286,27 @@ class TestSelftest:
         assert {"states:7", "conj:7", "hom:7", "rt:7", "wit:7"} <= set(seeds)
 
     def test_raising_suite_fails_alone(self, capsys, monkeypatch):
-        # One suite raises, another fails a check; each fails alone.
+        # One suite raises, two fail a check; each fails alone.  A search
+        # that finds every translate within 6 keeps s^3 * g_1 in the ball.
         def broken(n):
             raise ValueError("broken bound")
 
         monkeypatch.setattr(selftest, "tour_lower_bound", broken)
         monkeypatch.setattr(selftest, "in_hex", lambda pos, n: False)
-        suites = ("core-pascal", "metric-tour", "core-hexagon", "core-bilinearity")
+        monkeypatch.setattr(selftest, "search_distance", lambda g, max_r: 6)
+        suites = ("core-pascal", "metric-tour", "core-hexagon", "metric-depth", "core-bilinearity")
         code, out, _ = run(capsys, "selftest", *(f"--suite={name}" for name in suites))
         lines = out.splitlines()
         assert [line.split()[:2] for line in lines] == [
             ["PASS", "core-pascal"],
             ["FAIL", "metric-tour"],
             ["FAIL", "core-hexagon"],
+            ["FAIL", "metric-depth"],
             ["PASS", "core-bilinearity"],
         ]
         assert lines[1].endswith("ValueError: broken bound")
         assert lines[2].endswith("press at (0, 0) escapes the hexagon H_0")
+        assert lines[3].endswith("s^3 left the n=1 anchor inside the radius-6 ball")
         assert code == 1
 
     def test_checks_hold_under_optimize(self):
@@ -343,6 +347,45 @@ class TestEnvironmentDefaults:
         assert info.value.code == 2
         assert "--max-radius" in capsys.readouterr().err
         assert run(capsys, "eval", "a")[0] == 0
+
+    def test_unknown_env_alphabet_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("LAMPGRID_ALPHABET", "foo")
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "a"])
+        assert info.value.code == 2
+        assert "argument --alphabet: invalid choice: 'foo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (argv, flag)
+            for argv, flags in [
+                (("eval", "a"), ("ALPHABET", "JSON")),
+                (("render", "a"), ("ALPHABET", "JSON")),
+                (("mul", "a", "a"), ("ALPHABET", "JSON")),
+                (("inv", "a"), ("ALPHABET", "JSON")),
+                (("dist", "a"), ("ALPHABET", "JSON", "MAX_RADIUS", "MEMORY_LIMIT_MB")),
+                (("witness", "a"), ("ALPHABET", "JSON")),
+                (("tour", "1"), ("JSON",)),
+                (("spheres", "1"), ("MEMORY_LIMIT_MB", "JSON")),
+                (("certify-depth", "1", "1"), ("MEMORY_LIMIT_MB", "JSON")),
+                (("selftest",), ("SEED",)),
+            ]
+            for flag in flags
+        ],
+    )
+    def test_env_sets_every_mirrored_flag(self, monkeypatch, argv, flag):
+        # A value other than the default, read with the flag absent.
+        value, expected = {
+            "ALPHABET": ("metric", "metric"),
+            "JSON": ("1", True),
+            "MAX_RADIUS": ("3", 3),
+            "MEMORY_LIMIT_MB": ("7", 7),
+            "SEED": ("5", 5),
+        }[flag]
+        monkeypatch.setenv(f"LAMPGRID_{flag}", value)
+        args = cli.build_parser().parse_args(argv)
+        assert getattr(args, flag.lower()) == expected
 
     def test_env_sets_dist_memory_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("LAMPGRID_MEMORY_LIMIT_MB", "0")

@@ -18,6 +18,7 @@ from lampgrid import (
     a_length,
     ball_with_depths,
     certify_depth,
+    concat,
     evaluate,
     exact_distance,
     format_word,
@@ -298,6 +299,11 @@ class TestExactDistance:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError, match="max_r must be positive"):
             exact_distance(identity(), 0)
+
+    def test_a_witness_that_does_not_replay_is_refused(self, monkeypatch):
+        monkeypatch.setattr(metric, "witness_word", lambda g, budget=None: parse("s", METRIC))
+        with pytest.raises(RuntimeError, match="the witness word does not replay in 6 letters"):
+            exact_distance(make_gn(1)[0], 6)
 
     def test_bound_gives_up_before_searching(self, monkeypatch):
         def no_search(*args):
@@ -735,6 +741,25 @@ class TestCertifyDepth:
         assert data["verdict"] == "certified"
         assert data["ball_radius"] == 12
         assert data["failure_witness"] is None
+
+    @pytest.mark.parametrize(
+        "anchor, match",
+        [
+            (
+                (Element(frozenset({(0, 1)}), (0, 1)), make_gn(1)[1]),
+                "anchor is expected to be an involution spelled by its word",
+            ),
+            (
+                (make_gn(1)[0], concat(make_gn(1)[1], parse("a^2", METRIC))),
+                "anchor is expected to have length 6n",
+            ),
+        ],
+        ids=["not-an-involution", "word-of-6n-plus-2-letters"],
+    )
+    def test_a_wrong_anchor_is_refused(self, monkeypatch, anchor, match):
+        monkeypatch.setattr(metric, "make_gn", lambda n: anchor)
+        with pytest.raises(RuntimeError, match=match):
+            certify_depth(1, 1)
 
     def test_precondition(self):
         with pytest.raises(ValueError):
