@@ -10,7 +10,8 @@ It prints sphere sizes, depth certificates as ``certify-depth n n --json``
 prints them, and the failed ones of ``certify-depth n 2n+1 --json``, one
 past the anchor's depth, so both verdicts are pinned; the witness word
 and exact distance of every element of a ball, in the ball's order, and
-the stdout, stderr and exit code of the CLI's word commands (``render``
+of random elements of larger hexagons, where the box tour is wider; the
+stdout, stderr and exit code of the CLI's word commands (``render``
 included) on a fixed list of words in both alphabets, malformed ones
 included, and of ``tour`` and ``spheres`` on a few numbers.  ``--quick``
 uses a smaller radius and fewer anchors, so that the test suite can run
@@ -25,6 +26,7 @@ from lampgrid import (
     ball_with_depths,
     exact_distance,
     format_word,
+    random_element,
     sphere_sizes,
     witness_word,
 )
@@ -100,8 +102,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smaller radius and anchors")
     args = parser.parse_args()
-    sphere_radius, max_n, max_failed_n, ball_radius = (
-        (6, 4, 1, 3) if args.quick else (8, 6, 2, 5)
+    sphere_radius, max_n, max_failed_n, ball_radius, hexagons = (
+        (6, 4, 1, 3, (12,)) if args.quick else (8, 6, 2, 5, (12, 48))
     )
 
     print(f"# sphere sizes r <= {sphere_radius}")
@@ -118,6 +120,13 @@ def main() -> int:
     print(f"# B({ball_radius}): witness_word | exact_distance")
     for g in ball_with_depths(ball_radius):
         print(f"{format_word(witness_word(g))} | {exact_distance(g, 6 * ball_radius + 1)}")
+
+    print(f"# random_element(n, seed), n in {hexagons}: witness_word | exact_distance")
+    for n in hexagons:
+        # At n = 12 and at n = 48 these seeds give every sign case of g.pos.
+        for seed in range(24):
+            g = random_element(n, seed)
+            print(f"{format_word(witness_word(g))} | {exact_distance(g, 6 * n)}")
 
     print("# CLI word commands")
     for alphabet, word in WORDS:

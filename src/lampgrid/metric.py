@@ -254,18 +254,28 @@ def halfplane_bound(g: Element) -> int:
     letter except ``a`` moves the lamplighter one unit, and on a walk each
     coordinate travels at least twice its range minus its net move.
     """
-    (p_lo, q_lo), (p_hi, q_hi) = _box(g)
+    F, D, P, Q = _box(g)
     ep, eq = g.pos
-    return 2 * (p_hi - p_lo + q_hi - q_lo) - abs(ep) - abs(eq)
+    return 2 * (F + D + P + Q) - abs(ep) - abs(eq)
 
 
-def _box(g: Element) -> tuple[Pos, Pos]:
-    """Corners (-F, -D) and (P, Q) of the box behind :func:`halfplane_bound`.
+def length_lower_bound(g: Element) -> int:
+    """max(:func:`halfplane_bound`\\ (g), [g != 1]), the proved lower side of |g|.
 
-    F = max(far, -e_p, 0), D = max(low, -e_q, 0), P = e_p+ and
-    Q = max(top, e_p+ + e_q+) - P, so twice the box's width plus height is
-    the bracketed sum of the bound.  (P, Q) meets p + q >= top, the bottom
-    side q <= -low and the left side p <= -far.
+    Every element but the identity needs a letter.  :func:`witness_word`
+    spells ``g`` in exactly this many letters, so it is the length of ``g``.
+    """
+    return max(halfplane_bound(g), int(g != _IDENTITY))
+
+
+def _box(g: Element) -> tuple[int, int, int, int]:
+    """Extents (F, D, P, Q) of the box behind :func:`halfplane_bound`.
+
+    The box has corners (-F, -D) and (P, Q): F = max(far, -e_p, 0),
+    D = max(low, -e_q, 0), P = e_p+ and Q = max(top, e_p+ + e_q+) - P, so
+    twice the box's width plus height, 2 * (F + D + P + Q), is the
+    bracketed sum of the bound.  (P, Q) meets p + q >= top, the bottom side
+    q <= -low and the left side p <= -far.
     """
     # One pass: a lamp off the t-axis lies on the negative s-axis.
     top = low = far = 0
@@ -278,11 +288,8 @@ def _box(g: Element) -> tuple[Pos, Pos]:
         elif -q > low:
             low = -q
     ep, eq = g.pos
-    p_hi = max(ep, 0)
-    return (
-        (-max(far, -ep, 0), -max(low, -eq, 0)),
-        (p_hi, max(top, p_hi + max(eq, 0)) - p_hi),
-    )
+    P = max(ep, 0)
+    return max(far, -ep, 0), max(low, -eq, 0), P, max(top, P + max(eq, 0)) - P
 
 
 def tour_lower_bound(n: int) -> int:
@@ -513,6 +520,33 @@ def sphere_sizes(
     return counts
 
 
+def _plan(g: Element) -> tuple[list[Pos], chain[tuple[Pos, Pos]]]:
+    """The box tour of :func:`witness_word`: its walk and its solving order.
+
+    The walk is the list of its corners, from the origin to ``g.pos``
+    (:func:`_walk_to`).  The order is the (vertex, pivot) pairs of the
+    sweeps that the signs of ``g.pos`` select, sweep after sweep; the proof
+    that it works is :func:`witness_word`'s.
+    """
+    F, D, P, Q = _box(g)
+    ep, eq = g.pos
+    # The low column settles the t-axis below base, the other sweeps above.
+    base = -D if eq >= 0 else 0
+    if ep >= 0:
+        corners = [(-F, 0), (-F, -D), (P, Q)] if eq >= 0 else [(-F, 0), (P, Q), (P, -D)]
+        x, sweeps = P, (
+            (((P, q), (0, P + q)) for q in range(Q, base - 1, -1)),
+            (((p, base), (0, p + base)) for p in range(P - 1, -1, -1)),
+        )
+    else:
+        corners = [(0, -D), (0, Q), (-F, Q)] if eq >= 0 else [(0, Q), (-F, -D)]
+        x, sweeps = -F, ((((-k, Q), (-k, 0)) for k in range(F, 0, -1)),)
+    path = [(0, 0)]
+    for corner in corners + [g.pos]:
+        _walk_to(path, corner)
+    return path, chain((((x, q), (0, q)) for q in range(-D, base)), *sweeps)
+
+
 def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     """Geodesic word for ``g``: a walk of :func:`halfplane_bound`\\ (g) moves.
 
@@ -523,13 +557,14 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     the moves, so the word has :func:`halfplane_bound`\\ (g) letters, the
     length of ``g`` by the half-plane lemma; the origin press, whose bound
     is 0, is the one letter ``a``.  Inside H_n we have F <= n, D <= n and
-    P + Q <= n (below), so ``halfplane_bound(g) <= 6n``: the paper's 6n
-    upper bound follows from the formula.  The word is not replayed here;
-    :func:`exact_distance` replays it.  ``budget`` (default: a fresh one
-    at ``DEFAULT_MEMORY_LIMIT_MB``) is charged what the solve holds: each
-    press with its effect as it is made, and the lamps it copies.  Before
-    the walk starts it is also charged one pointer per walked vertex, since
-    the solve visits them all: a walk too long to solve fails at once.
+    P + Q = max(top, e_p+ + e_q+) <= n, so ``halfplane_bound(g) <= 6n``:
+    the paper's 6n upper bound follows from the formula.  The word is not
+    replayed here; :func:`exact_distance` replays it.  ``budget`` (default:
+    a fresh one at ``DEFAULT_MEMORY_LIMIT_MB``) is charged what the solve
+    holds: each press with its effect as it is made, and the lamps it
+    copies.  Before the walk starts it is also charged one pointer per
+    walked vertex, since the solve visits them all: a walk too long to
+    solve fails at once.
 
     The presses are solved by back-substitution, and its order is the proof
     that they exist.  Let (-F, -D) and (P, Q) be the corners of the box.
@@ -540,68 +575,56 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     nearer the origin, and t-axis lamps in q..-1 with q among them when
     q < 0, or in 0..p+q when q >= 0.  A lampstand press toggles just its own
     lamp.  Each leg of the walk adjusts p before q (:func:`_walk_to`).  By
-    the signs of (e_p, e_q) = ``g.pos``, the walk and an ordered list of
-    (vertex, pivot lamp) pairs are:
+    the signs of (e_p, e_q) = ``g.pos`` the walk is:
 
     * e_p >= 0 and e_q >= 0: the s-axis out to -F, the row q = -D from -F
-      to P and the column p = P up to Q.  Column (P, q) for q = Q..-D,
-      pivot (0, P+q); then row (p, -D) for p = P-1..0, pivot (0, p-D).
-      Every press lights t-axis lamps no higher than its pivot, so the
-      t-axis is settled from P+Q down to -D.
-    * e_p < 0 <= e_q (so P = 0): the t-axis from -D to Q, then the row
-      q = Q out to -F.  Row (-k, Q) for k = F..1, pivot (-k, 0).  Every
-      press lights s-axis lamps no farther out than its pivot, so the
-      s-axis is settled from -F inward.
+      to P and the column p = P up to Q;
+    * e_p < 0 <= e_q (so P = 0): the t-axis from -D up to Q, then the row
+      q = Q out to -F;
     * e_q < 0 <= e_p: the s-axis out to -F, the row q = 0 from -F to P and
-      the column p = P from Q down to -D.  Column (P, q) for q = -D..-1,
-      pivot (0, q), lowest lamp first: every press lights t-axis lamps no
-      lower than its pivot.  Then column (P, q) for q = Q..0, pivot
-      (0, P+q), and row (p, 0) for p = P-1..0, pivot (0, p), as in the
-      first case on the lamps 0..P+Q; these light no negative t-axis lamp.
-    * both negative (so P = 0): the t-axis from 0 to Q, the row q = Q out
-      to -F and the column p = -F down to -D.  Column (-F, q) for
-      q = -D..-1, pivot (0, q): every press lights t-axis lamps in q..-1
-      and s-axis lamps only.  Then row (-k, Q) for k = F..1, pivot (-k, 0),
-      as in the second case; these light no negative t-axis lamp.
+      the column p = P from Q down to -D;
+    * both negative (so P = 0): the t-axis from 0 up to Q, the row q = Q
+      out to -F and the column p = -F down to -D.
 
-    The solve is one loop: starting from ``g.lamps``, press each vertex
-    whose pivot is lit and toggle its effect.  No press ever toggles a
-    pivot that an earlier press has settled, so every pivot ends dark.
-    What is left lies on the s-axis in the first and third cases, on the
-    t-axis from -D to Q in the second and from 0 to Q in the fourth:
-    walked lampstand vertices, each its own press.
+    Let base = -D if e_q >= 0, else 0, and x = P if e_p >= 0, else -F.  The
+    (vertex, pivot) pairs come in four sweeps, each on the walk, each of
+    whose presses lights its own pivot and no pivot earlier in the order:
+
+    1. Low column, run when e_q < 0 (so base = 0): (x, q) for q = -D..-1,
+       pivot (0, q).  A press lights t-axis lamps no lower than its pivot
+       (q..P+q, or q..-1 when x = -F < 0) and s-axis lamps, so no earlier
+       pivot, all of which lie lower on the t-axis.
+    2. Column, run when e_p >= 0: (P, q) for q = Q down to base, pivot
+       (0, P+q).  A press lights t-axis lamps in q..P+q: none above its
+       pivot, where the earlier pivots of the sweep lie, and none below
+       base, where those of the low column lie.
+    3. Row, run when e_p >= 0: (p, base) for p = P-1 down to 0, pivot
+       (0, p+base).  A press lights t-axis lamps in base..p+base: none above
+       its pivot, where the earlier pivots of the sweep and the column's
+       (P+base and up) lie, and none below base.
+    4. S-row, run when e_p < 0 (so P = 0): (-k, Q) for k = F down to 1,
+       pivot (-k, 0).  Since Q >= 0, a press lights (-k, 0), s-axis lamps
+       nearer the origin and t-axis lamps in 0..Q-k: no s-axis pivot
+       farther out, where the earlier pivots of the sweep lie, and no
+       negative t-axis lamp, where those of the low column lie.
+
+    So e_p >= 0 runs sweeps 1 (if e_q < 0), 2 and 3, whose pivots cover
+    the t-axis from -D to P+Q; e_p < 0 runs sweeps 1 (if e_q < 0) and 4,
+    whose pivots cover the s-axis and the t-axis below base.  The solve is
+    one loop: starting from ``g.lamps``, press each vertex whose pivot is
+    lit and toggle its effect.  No press ever toggles a pivot that an
+    earlier press has settled, so every pivot ends dark.  What is left lies
+    on the s-axis when e_p >= 0, walked out to -F, and on the t-axis from
+    base to Q when e_p < 0, walked from base up to Q: walked lampstand
+    vertices, each its own press.
     """
     if budget is None:
         budget = _Budget(None, "witness word")
-    # Corners named as in the proof above.
-    (p_lo, q_lo), (P, Q) = _box(g)
-    F, D = -p_lo, -q_lo
-    ep, eq = g.pos
-    # The walk, and a residual slot for each lamp of g.
-    walk = 2 * (F + D + P + Q) - abs(ep) - abs(eq) + 1
-    budget.spend(_SOLVE_COST + _WALK_COST * walk + _SLOT_COST * len(g.lamps))
-    if ep >= 0 and eq >= 0:
-        corners = [(-F, 0), (-F, -D), (P, Q)]
-        pairs = chain(
-            (((P, q), (0, P + q)) for q in range(Q, -D - 1, -1)),
-            (((p, -D), (0, p - D)) for p in range(P - 1, -1, -1)),
-        )
-    elif eq >= 0:
-        corners = [(0, -D), (0, Q), (-F, Q)]
-        pairs = (((-k, Q), (-k, 0)) for k in range(F, 0, -1))
-    elif ep >= 0:
-        corners = [(-F, 0), (P, Q), (P, -D)]
-        pairs = chain(
-            (((P, q), (0, q)) for q in range(-D, 0)),
-            (((P, q), (0, P + q)) for q in range(Q, -1, -1)),
-            (((p, 0), (0, p)) for p in range(P - 1, -1, -1)),
-        )
-    else:
-        corners = [(0, Q), (-F, -D)]
-        pairs = chain(
-            (((-F, q), (0, q)) for q in range(-D, 0)),
-            (((-k, Q), (-k, 0)) for k in range(F, 0, -1)),
-        )
+    # The walk's vertices, and a residual slot for each lamp of g.
+    budget.spend(
+        _SOLVE_COST + _WALK_COST * (halfplane_bound(g) + 1) + _SLOT_COST * len(g.lamps)
+    )
+    path, pairs = _plan(g)
     residual = set(g.lamps)
     presses = set()
     for vertex, pivot in pairs:
@@ -613,9 +636,6 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
             residual ^= effect
             presses.add(vertex)
     budget.spend(_PRESS_COST * len(residual))
-    path: list[Pos] = [(0, 0)]
-    for corner in corners + [g.pos]:
-        _walk_to(path, corner)
     return _word_from_path(path, presses | residual)
 
 
@@ -640,7 +660,7 @@ def exact_distance(
     """
     if max_r < 1:
         raise ValueError("max_r must be positive")
-    lower = max(halfplane_bound(g), int(g != _IDENTITY))
+    lower = length_lower_bound(g)
     if lower > max_r:
         raise RadiusExceeded(max_r, lower)
     try:

@@ -80,12 +80,36 @@ class TestWitness:
             main(["witness", "t"])
         assert capsys.readouterr().out == ""
 
+    def test_word_longer_than_a_geodesic_is_not_printed(self, capsys, monkeypatch):
+        # It replays, but two letters past the proved lower length.
+        real = cli.witness_word
+        padded = lampgrid.parse("a a", lampgrid.PRESENTATION)
+        monkeypatch.setattr(cli, "witness_word", lambda el: lampgrid.concat(real(el), padded))
+        with pytest.raises(RuntimeError, match="does not replay in 1 letters"):
+            main(["witness", "t"])
+        assert capsys.readouterr().out == ""
+
     def test_input_limit_hits_the_memory_cap(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "witness", "s^2147483647")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "MiB cap" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "inv", "mul", "render", "witness", "dist"])
+@pytest.mark.parametrize(
+    "word", [f"s^{s}2147483647 t^{t}2147483647 a" for s in ("", "-") for t in ("", "-")]
+)
+def test_word_command_at_the_input_limit(capsys, command, word):
+    # An answer or a refusal within a second, never a partial answer.
+    argv = [command, word, word] if command == "mul" else [command, word]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 1)
+    if code:
+        assert out == ""
 
 
 class TestNumericCommands:
@@ -462,25 +486,40 @@ class TestDepthCertificateScript:
     def test_pins_depth_two_n_plus_one(self):
         proc = run_script(str(SCRIPTS / "run_depth_certificates.py"), "--max-n", "2")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        # One certificate per n: its failure at s^(2n+1), after every
-        # shorter offset passed, proves the depth both ways.
+        # Per n, certify_depth(n, 2n) is certified, so depth > 2n, and the
+        # escape s^(2n+1) leaves the ball, so depth <= 2n + 1.
         lines = proc.stdout.splitlines()
         end = lines.index("depth(g_n) = 2n + 1 proved for n = 1..2")
         rows = [line.split() for line in lines[1:end]]
-        assert [row[:2] + row[4:6] for row in rows] == [
-            ["1", "3", "failed", "s^3"],
-            ["2", "5", "failed", "s^5"],
+        assert [row[:6] for row in rows] == [
+            ["1", "2", "88", "6", "certified", "s^3"],
+            ["2", "4", "1050", "12", "certified", "s^5"],
         ]
 
-    def test_a_certificate_past_the_depth_fails(self):
-        # A certificate at k = 2n + 1 would refute depth 2n + 1: exit 1.
+    def test_a_certificate_that_fails_at_two_n_fails(self):
+        # A failure within 2n would refute depth 2n + 1: exit 1.
         script = patched_certificate_script(
+            "import dataclasses\n"
             "real = lampgrid.certify_depth\n"
-            "lampgrid.certify_depth = lambda n, k, **kw: real(n, min(k, 2 * n), **kw)",
+            "lampgrid.certify_depth = lambda n, k, **kw: dataclasses.replace(\n"
+            "    real(n, k, **kw), verdict='failed', failure_witness=f's^{k}')",
             max_n=1,
         )
         proc = run_script("-c", script, flags=("-O",))
         assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "certify_depth(1, 2) failed" in proc.stdout
+        assert "proved" not in proc.stdout
+
+    def test_an_escape_that_stays_inside_fails(self):
+        # An escape measured within 6n + 1 stays inside 6n + 1: exit 1.
+        script = patched_certificate_script(
+            "real = lampgrid.exact_distance\n"
+            "lampgrid.exact_distance = lambda g, max_r, *rest: real(g, max_r + 1, *rest)",
+            max_n=1,
+        )
+        proc = run_script("-c", script, flags=("-O",))
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "s^3 keeps g_1 within" in proc.stdout
         assert "proved" not in proc.stdout
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -401,6 +402,27 @@ class TestBoxTour:
                     word = witness_word(g)
                     assert evaluate(word) == g, g
                     assert a_length(word) == halfplane_bound(g) + (g == A_ELEMENT), g
+
+    def test_each_press_settles_its_pivot_for_good(self):
+        # The back-substitution lemma, pair by pair, on every box of lamps on
+        # H_3's lampstand (the plan reads the lamps only through their
+        # extremes) and every position in {-7..7}^2.
+        for top, low, far in product(range(4), repeat=3):
+            lamps = frozenset({(0, top), (0, -low), (-far, 0)} - {(0, 0)})
+            for pos in product(range(-7, 8), repeat=2):
+                g = Element(lamps, pos)
+                path, pairs = metric._plan(g)
+                walked = set(fuse_by_vertex(path, ())[1])
+                pivots = set()
+                for vertex, pivot in pairs:
+                    effect = press_effect(vertex)
+                    assert pivot in effect, (g, vertex)
+                    assert not effect & pivots, (g, vertex)
+                    assert vertex in walked, (g, vertex)
+                    pivots.add(pivot)
+                F, D, P, Q = metric._box(g)
+                stand = {(-i, 0) for i in range(1, F + 1)} | {(0, j) for j in range(-D, P + Q + 1)}
+                assert stand - pivots <= walked, g
 
     def test_origin_press_is_one_letter_over(self):
         word = witness_word(A_ELEMENT)
