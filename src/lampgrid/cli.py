@@ -131,13 +131,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    names = args.suite or None
-    results = selftest.run(names, seed=args.seed)
-    failed = 0
+    results = selftest.run(args.suite, seed=args.seed)
     for result in results:
         status = "PASS" if result.ok else "FAIL"
         print(f"{status}  {result.name}  ({result.seconds:.2f}s)  {result.detail}")
-        failed += 0 if result.ok else 1
+    failed = sum(not result.ok for result in results)
     if failed:
         print(f"{failed} suite(s) failed", file=sys.stderr)
         return 1
@@ -211,7 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
             type=int, default=_env("MEMORY_LIMIT_MB", metric.DEFAULT_MEMORY_LIMIT_MB),
             help="memory cap, in MiB",
         ),
-        "--suite": dict(action="append", help="run only the named suite (repeatable)"),
+        "--suite": dict(
+            action="append", choices=selftest.SUITES, metavar="NAME",
+            help="run only the named suite (repeatable): %(choices)s",
+        ),
         "--seed": dict(
             type=int, default=_env("SEED", None),
             help="reseed the randomized suites (default: built-in seeds)",

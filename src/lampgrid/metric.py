@@ -106,10 +106,11 @@ _ROW_COST = _SLOT_COST + getsizeof((None,) * 7) + _PAIR_COST
 # the seven new sets live until the next state: at most eight entries per
 # lamp of either side (_Budget.widen).
 _XOR_LAMP_COST = 8 * _ENTRY_COST
-# What a search holds beside its states, presses and XOR entries: its
-# frames, lists and tables before they grow, about 0.7 kB by tracemalloc
-# on B(0), which expands nothing (rounded up to 1 KiB), and the seven
-# XORs' empty sets.  Every larger ball's other charges cover it.
+# What one search holds beside its states, presses and XOR entries, charged
+# when it starts (_Search): its frames, lists and tables before they grow,
+# about 0.7 kB by tracemalloc on B(0), which expands nothing (rounded up to
+# 1 KiB), and the seven XORs' empty sets.  Every larger ball's other
+# charges cover it.
 _SEARCH_COST = 1024 + 7 * getsizeof(frozenset())
 
 
@@ -321,14 +322,15 @@ def _single_press(lamps: LampSet) -> Pos:
     raise RuntimeError(f"the lamps {sorted(lamps)} of a move are no single press")
 
 
-# _LAMP_SETS holds each distinct nonempty lamp set of a move and _PRESSES
-# its offset, _SHIFTS each distinct step, and _STEPS each move's index into
-# _SHIFTS with the index of its lamp set, or -1 if it lights none.
-_LAMP_SETS = tuple(dict.fromkeys(mv.lamps for mv in _MOVES if mv.lamps))
-_PRESSES = tuple(map(_single_press, _LAMP_SETS))
+# _PRESSES holds the offset of each distinct nonempty lamp set of a move
+# (_single_press is one-to-one), _SHIFTS each distinct step, and _STEPS each
+# move's index into _SHIFTS with the index of its press, or -1 if it lights
+# none.
+_PRESSES = tuple(dict.fromkeys(_single_press(mv.lamps) for mv in _MOVES if mv.lamps))
 _SHIFTS = tuple(dict.fromkeys(mv.pos for mv in _MOVES))
 _STEPS = tuple(
-    (_SHIFTS.index(mv.pos), _LAMP_SETS.index(mv.lamps) if mv.lamps else -1) for mv in _MOVES
+    (_SHIFTS.index(mv.pos), _PRESSES.index(_single_press(mv.lamps)) if mv.lamps else -1)
+    for mv in _MOVES
 )
 
 _IDENTITY = identity()
@@ -394,13 +396,15 @@ class _Search:
     ``depths`` maps every state recorded so far to its layer, in the order
     recorded; ``frontier`` is the last layer and ``radius`` its depth.
     Every state is charged to ``budget``, which builds it from its copies
-    of lamp sets and positions, ``start`` first.  The search also owns its
+    of lamp sets and positions, ``start`` first, after ``_SEARCH_COST`` for
+    what the search holds beside its states.  The search also owns its
     presses: ``rows`` maps each position it has expanded to the effects of
     the presses at that position plus each offset of ``_PRESSES``, with
     their lamp count, and ``effects`` each press it has made, by position.
     """
 
     def __init__(self, start: Element, budget: _Budget):
+        budget.spend(_SEARCH_COST)
         self.budget = budget
         self.frontier = [budget.charge(start)]
         self.depths: dict[Element, int] = {self.frontier[0]: 0}
@@ -482,9 +486,7 @@ def _ball(radius: int, memory_limit_mb: int | None) -> _Search:
     """A search from the identity, on its own budget for a ball of ``radius``."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    budget = _Budget(memory_limit_mb, f"ball of radius {radius}")
-    budget.spend(_SEARCH_COST)
-    return _Search(_IDENTITY, budget)
+    return _Search(_IDENTITY, _Budget(memory_limit_mb, f"ball of radius {radius}"))
 
 
 def ball_with_depths(radius: int, memory_limit_mb: int | None = None) -> dict[Element, int]:
@@ -497,8 +499,8 @@ def ball_with_depths(radius: int, memory_limit_mb: int | None = None) -> dict[El
     positions are held once across the ball (:class:`_Budget`), so a state
     costs its :class:`Element` and its slot in the mapping, plus its lamp
     set and position only where no earlier state has them, each press it
-    makes (:meth:`_Search._row`), and a fixed ``_SEARCH_COST`` for what it
-    holds beside its states and presses.  Raises
+    makes (:meth:`_Search._row`), and the fixed ``_SEARCH_COST`` its
+    :class:`_Search` pays on opening.  Raises
     :class:`MemoryCapExceeded` when the stored states outgrow
     ``memory_limit_mb`` (default ``DEFAULT_MEMORY_LIMIT_MB``, read at call
     time).
@@ -512,11 +514,14 @@ def ball_with_depths(radius: int, memory_limit_mb: int | None = None) -> dict[El
 def sphere_sizes(
     r_max: int, memory_limit_mb: int | None = None
 ) -> list[int]:
-    """Sizes |S(0)|, ..., |S(r_max)| of the spheres about the identity."""
-    depths = ball_with_depths(r_max, memory_limit_mb)
-    counts = [0] * (r_max + 1)
-    for depth in depths.values():
-        counts[depth] += 1
+    """Sizes |S(0)|, ..., |S(r_max)| of the spheres about the identity.
+
+    |S(0)| is the identity alone, and each later size the length of the
+    layer the ball's search grows (:func:`_ball`), on the budget and cap of
+    :func:`ball_with_depths`.
+    """
+    search = _ball(r_max, memory_limit_mb)
+    counts = [1] + [len(search.grow()) for _ in range(r_max)]
     return counts
 
 
@@ -562,9 +567,12 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     replayed here; :func:`exact_distance` replays it.  ``budget`` (default:
     a fresh one at ``DEFAULT_MEMORY_LIMIT_MB``) is charged what the solve
     holds: each press with its effect as it is made, and the lamps it
-    copies.  Before the walk starts it is also charged one pointer per
-    walked vertex, since the solve visits them all: a walk too long to
-    solve fails at once.
+    copies.  A press that could overrun the cap, by the most lamps its
+    position allows, is first sized and charged for its build, as a
+    search's presses are (:meth:`_Search._row`), so the cap is met before
+    it is built.  Before the walk starts the budget is also charged one
+    pointer per walked vertex, since the solve visits them all: a walk too
+    long to solve fails at once.
 
     The presses are solved by back-substitution, and its order is the proof
     that they exist.  Let (-F, -D) and (P, Q) be the corners of the box.
@@ -629,6 +637,10 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     presses = set()
     for vertex, pivot in pairs:
         if pivot in residual:
+            # A press holds at most |p| + |q| + 1 lamps; one that might
+            # overrun the cap is sized and charged before it is built.
+            if _LAMP_COST * (abs(vertex[0]) + abs(vertex[1]) + 1) > budget.left:
+                budget.spend(_LAMP_COST * check_press(vertex))
             effect = press_effect(vertex)
             budget.spend(
                 _PRESS_COST + getsizeof(effect) + (_PAIR_COST + _INT_COST) * len(effect)
@@ -684,15 +696,14 @@ def search_distance(g: Element, max_r: int, memory_limit_mb: int | None = None) 
     :class:`RadiusExceeded` past ``max_r`` and :class:`MemoryCapExceeded`
     when the states of both sides outgrow ``memory_limit_mb`` (default
     ``DEFAULT_MEMORY_LIMIT_MB``, read at call time).  The two sides share
-    one budget, so equal lamp sets and positions are held once across both,
-    and the search is charged ``_SEARCH_COST`` once.  Each side is a
-    :class:`_Search` that makes and pays for its own presses; the smaller
-    frontier grows, side a on a tie.
+    one budget, so equal lamp sets and positions are held once across both.
+    Each side is a :class:`_Search` that pays ``_SEARCH_COST`` when it
+    starts and makes and pays for its own presses; the smaller frontier
+    grows, side a on a tie.
     """
-    budget = _Budget(memory_limit_mb, f"distance search to radius {max_r}")
     if g == _IDENTITY:
         return 0
-    budget.spend(_SEARCH_COST)
+    budget = _Budget(memory_limit_mb, f"distance search to radius {max_r}")
     a, b = _Search(_IDENTITY, budget), _Search(g, budget)
     while a.radius + b.radius < max_r:
         if len(a.frontier) <= len(b.frontier):
@@ -844,7 +855,7 @@ def certify_depth(
     size = len(search.depths)
     if failure is None:
         return DepthCertificate(n, k, radius, size, radius, "certified", None)
-    word = witness_word(failure)
+    word = witness_word(failure, _Budget(memory_limit_mb, "failure witness"))
     if a_length(word) != depth or evaluate(word) != failure:
         raise RuntimeError(f"the failure witness does not replay in {depth} letters")
     return DepthCertificate(n, k, radius, size, radius, "failed", format_word(word))

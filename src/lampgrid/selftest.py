@@ -37,6 +37,7 @@ from .metric import (
     in_hex,
     make_gn,
     search_distance,
+    sphere_sizes,
     tour_lower_bound,
     witness_word,
 )
@@ -363,17 +364,14 @@ def check_spheres() -> str:
     radius = 5
     moves = move_elements()
     _check(len(moves) == 17, f"move dedup found {len(moves)} distinct moves")
-    depths = ball_with_depths(radius)
-    spheres: list[set] = [set() for _ in range(radius + 1)]
-    for element, depth in depths.items():
-        spheres[depth].add(element)
-    total = sum(len(s) for s in spheres)
-    _check(total == len(depths), "an element landed in two spheres")
-    sizes = [len(s) for s in spheres]
+    sizes = sphere_sizes(radius)
+    depths = list(ball_with_depths(radius).values())
+    counted = [depths.count(r) for r in range(radius + 1)]
+    _check(sizes == counted, f"sphere_sizes gave {sizes}, the ball's depths {counted}")
     _check(sizes[0] == 1 and sizes[1] == 17, f"first spheres are {sizes[:2]}")
     for r in range(1, radius + 1):
         _check(sizes[r] > sizes[r - 1], f"growth stalled at radius {r}")
-    return f"sizes {sizes}; disjoint spheres; |S(1)| matches the 17-move oracle"
+    return f"sizes {sizes}, as the ball's depths count them; |S(1)| matches the 17-move oracle"
 
 
 SUITES: dict[str, Callable[..., str]] = {

@@ -219,9 +219,10 @@ def _segment_effect(start: Pos, step: Pos, count: int) -> set[Pos]:
     """Lamps toggled by pressing at ``start`` and ``count - 1`` more steps on.
 
     A press at (p, q) is x^q (1+x)^p (:func:`press_effect`), and a step
-    multiplies it by d = x along t and by d = 1+x along s.  So with e the
+    multiplies it by m = x along t and by m = 1+x along s.  So with e the
     press at the segment's lower end and f the press one step past its
-    upper end, the presses sum to (e + f) / d; with f the last press of
+    upper end, the presses sum to the geometric sum (e + f) / d with
+    d = m + 1, that is 1+x along t and x along s; with f the last press of
     the segment instead, to (e + f) / d + f.  Whichever f has fewer lamps
     (:func:`press_size`) is used.  The division is read off the sorted
     lamps of e + f as intervals of the lampstand, so the cost is that of

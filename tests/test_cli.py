@@ -112,6 +112,20 @@ def test_word_command_at_the_input_limit(capsys, command, word):
         assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, pos",
+    [
+        (("mul", "s^-2147483647", "s^-2147483647"), "(-4294967294,0)"),
+        (("eval", "s^2147483647 s^2147483647"), "(4294967294,0)"),
+    ],
+    ids=["mul", "eval"],
+)
+def test_results_past_the_input_limit_are_exact(capsys, argv, pos):
+    # The limit bounds the exponents read, not the element they spell.
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, f"pos: {pos}\nlamps: (none)\n")
+
+
 class TestNumericCommands:
     def test_tour(self, capsys):
         code, out, _ = run(capsys, "tour", "3")
@@ -286,9 +300,13 @@ class TestSelftest:
         assert out.startswith("PASS")
 
     def test_unknown_suite(self, capsys):
-        code, _, err = run(capsys, "selftest", "--suite", "nope")
-        assert code == 1
-        assert "unknown selftest suite" in err
+        # A usage error on the command line, a ValueError to library callers.
+        with pytest.raises(SystemExit) as info:
+            main(["selftest", "--suite", "nope"])
+        assert info.value.code == 2
+        assert "argument --suite: invalid choice: 'nope'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="unknown selftest suite 'nope'"):
+            selftest.run(["nope"])
 
     @pytest.mark.parametrize("via", ["flag", "env"])
     def test_seed_reaches_every_seeded_suite(self, capsys, monkeypatch, via):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -39,7 +40,7 @@ from lampgrid import (
 )
 from lampgrid import core, metric
 from lampgrid.core import press_size
-from lampgrid.metric import MemoryCapExceeded
+from lampgrid.metric import MemoryCapExceeded, length_lower_bound
 from lampgrid.words import lampstand_points
 
 from conftest import elements
@@ -105,6 +106,19 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+@st.composite
+def far_elements(draw, limit=core.COORD_LIMIT, span=2**12):
+    """Elements with |p| within ``span`` of the input limit and any q within
+    it, lighting up to three lampstand points anywhere within it."""
+    p = draw(st.integers(limit - span, limit)) * draw(st.sampled_from((1, -1)))
+    q = draw(st.integers(-limit, limit))
+    stand = st.one_of(
+        st.integers(1, limit).map(lambda i: (-i, 0)),
+        st.integers(-limit, limit).map(lambda j: (0, j)),
+    )
+    return Element(frozenset(draw(st.lists(stand, max_size=3))), (p, q))
+
+
 class TestHexagon:
     def test_hex_param_identity(self):
         assert hex_param(identity()) == 0
@@ -146,6 +160,20 @@ class TestWitness:
         assert a_length(word) == halfplane_bound(g) + (g == A_ELEMENT)
         if g != A_ELEMENT:
             assert a_length(word) <= 6 * hex_param(g)
+
+    @given(far_elements(span=core.COORD_LIMIT))
+    def test_input_limit_answers_or_meets_the_cap(self, g):
+        # Within a second, a geodesic or a refusal: the cap, or the press
+        # limit.
+        start = time.perf_counter()
+        try:
+            word = witness_word(g, metric._Budget(1, "witness word"))
+        except (MemoryCapExceeded, ValueError):
+            pass
+        else:
+            assert evaluate(word) == g
+            assert a_length(word) == length_lower_bound(g)
+        assert time.perf_counter() - start < 1.0
 
     def test_all_four_position_cases(self):
         lamps = frozenset({(0, 3), (0, -2), (-2, 0)})
@@ -243,19 +271,6 @@ class TestHalfplaneBound:
                 for end in [(-2, 0), (0, 0), (1, -2), (2, 1), (-1, 3), (3, -3)]:
                     g = Element(frozenset(lamps), end)
                     assert halfplane_bound(g) == walk_tour(top, low, far, end), (g, end)
-
-
-@st.composite
-def far_elements(draw, limit=core.COORD_LIMIT):
-    """Elements with |p| within 2^12 of the input limit and any q within it,
-    lighting up to three lampstand points anywhere within it."""
-    p = draw(st.integers(limit - 2**12, limit)) * draw(st.sampled_from((1, -1)))
-    q = draw(st.integers(-limit, limit))
-    stand = st.one_of(
-        st.integers(1, limit).map(lambda i: (-i, 0)),
-        st.integers(-limit, limit).map(lambda j: (0, j)),
-    )
-    return Element(frozenset(draw(st.lists(stand, max_size=3))), (p, q))
 
 
 class TestExactDistance:
@@ -529,6 +544,23 @@ class TestBudget:
                 search_distance(start, 3, memory_limit_mb=1)
 
         assert traced_peak(search) < 2**20
+
+    def test_witness_cap_comes_before_a_large_press(self):
+        # The solve's one press, at (32767, 0), has 2^15 lamps, about 4.6 MiB
+        # as it is built: the 1 MiB cap is met first.
+        g = Element(frozenset({(0, 32767)}), (32767, 0))
+
+        def solve():
+            with pytest.raises(MemoryCapExceeded, match="1 MiB cap"):
+                witness_word(g, metric._Budget(1, "witness word"))
+
+        assert traced_peak(solve) < 2**20
+
+    def test_certify_opens_every_budget_at_its_cap(self, monkeypatch):
+        # The ball, each fresh witness and the failure's witness.
+        budgets, _ = self.traced(monkeypatch, lambda: certify_depth(1, 3, memory_limit_mb=64))
+        assert len(budgets) > 2
+        assert {budget.limit_mb for budget in budgets} == {64}
 
     def test_press_limit_comes_before_the_cap(self):
         # The press at (2^21 - 1, 0) has 2^21 lamps: over the press limit,
