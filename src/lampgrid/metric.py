@@ -22,8 +22,15 @@ proofs: depth > k when all stay within 6n, depth = |b| for the first b,
 in breadth-first order, that leaves, whose replayed witness it prints.
 For n <= 6 that b is s^(2n+1): depth(g_n) = 2n + 1.
 
-Breadth-first searches here are sequential and deterministic: given the
-same inputs they produce identical counts and certificates.
+Breadth-first searches grow one of two searches.  The balls of
+:func:`sphere_sizes` and :func:`certify_depth` start at the identity with
+a radius fixed up front, so they grow :class:`_PackedBall`, which holds a
+state as one int; certify turns a key into an :class:`Element` only where
+its proof needs one.  :func:`ball_with_depths` and both sides of
+:func:`search_distance` grow the frozenset :class:`_Search`, which starts
+anywhere: it is the reference the packed ball is tested against.  Both
+are sequential and deterministic: given the same inputs they produce
+identical counts and certificates.
 """
 
 from __future__ import annotations
@@ -91,17 +98,22 @@ _WALK_COST = _POINTER_COST
 # Frames, generators, the path and the word of one witness: about 3 kB by
 # tracemalloc, rounded up.
 _SOLVE_COST = 4096
-# A press a search builds is charged before it is built, from its size
-# alone: its slot in the search's press table, with its position pair and
-# an empty frozenset, and per lamp a pair, an int and eight table entries
-# of 16 bytes.  A set grows its table to at most eight entries per element
-# it has held, so that bounds the table however the set was built.
+# A built press holds its frozenset, by getsizeof, and a pair and an int per
+# lamp.  While it is built it also holds a list pointer per lamp, and its
+# set's table moves to a larger one as it fills (_table_entries): at most
+# 8.42 entries of 16 bytes per lamp, at 19 lamps.  So _LAMP_COST, with nine
+# entries, bounds what building a press holds per lamp, whatever its size.
 _ENTRY_COST = 16
-_EFFECT_COST = _SLOT_COST + _PAIR_COST + getsizeof(frozenset())
-_LAMP_COST = _PAIR_COST + _INT_COST + 8 * _ENTRY_COST
+_HELD_LAMP_COST = _PAIR_COST + _INT_COST
+_LAMP_COST = _HELD_LAMP_COST + _POINTER_COST + 9 * _ENTRY_COST
+_EMPTY_SET_COST = getsizeof(frozenset())
+# A search's press table holds each press under its position pair.
+_EFFECT_COST = _SLOT_COST + _PAIR_COST
 # A position's row of seven presses: its slot in the row table, the tuple
 # of effects and the pair that holds it with its lamp count.
 _ROW_COST = _SLOT_COST + getsizeof((None,) * 7) + _PAIR_COST
+# A row of the packed ball: its slot and a tuple of 17 (mask, delta) pairs.
+_PACKED_ROW_COST = _SLOT_COST + getsizeof((None,) * 17) + 17 * _PAIR_COST
 # Expanding one state XORs its lamp set with each press of its row, and
 # the seven new sets live until the next state: at most eight entries per
 # lamp of either side (_Budget.widen).
@@ -112,6 +124,35 @@ _XOR_LAMP_COST = 8 * _ENTRY_COST
 # 1 KiB), and the seven XORs' empty sets.  Every larger ball's other
 # charges cover it.
 _SEARCH_COST = 1024 + 7 * getsizeof(frozenset())
+
+
+def _table_entries(n: int) -> int:
+    """Most entries a set's table holds, beside the set, while n keys go in.
+
+    CPython keeps a set of up to 8 entries inside the object.  When a key
+    fills it to 3/5, the table moves to the least power of two above four
+    times the keys it holds (twice, past 50,000 keys), and for that moment
+    both tables are held.
+    """
+    size = peak = 0
+    while True:
+        table = size or 8
+        filled = (3 * (table - 1) + 4) // 5
+        if n < filled:
+            return peak
+        grown = 8
+        while grown <= filled * (2 if filled > 50000 else 4):
+            grown <<= 1
+        peak, size = max(peak, size + grown), grown
+
+
+def _build_cost(lamps: int) -> int:
+    """The most building a press of ``lamps`` lamps holds (_LAMP_COST's terms)."""
+    return (
+        _EMPTY_SET_COST
+        + (_HELD_LAMP_COST + _POINTER_COST) * lamps
+        + _ENTRY_COST * _table_entries(lamps)
+    )
 
 
 class RadiusExceeded(RuntimeError):
@@ -359,6 +400,44 @@ class _Budget:
         if self.left < 0:
             raise MemoryCapExceeded(f"{self.search} exceeds the {self.limit_mb} MiB cap")
 
+    def press(self, pos: Pos) -> LampSet:
+        """Build ``press_effect(pos)`` inside the cap, charged what it holds.
+
+        A press of n lamps holds at most ``_build_cost(n)`` while it is
+        built, and it has at most |p| + |q| + 1 lamps.  When
+        ``_LAMP_COST`` a lamp for that many could overrun what is left of
+        the cap, the press is sized first (:func:`check_press`, whose
+        ``ValueError`` comes before any charge) and charged its
+        ``_build_cost``, so the cap is met before it is built; after the
+        build, the charge is refunded down to what the press holds: its
+        frozenset and a pair and an int per lamp.  A press that fits even
+        by the loose bound is charged only what it holds, so small presses
+        skip the count.
+        """
+        p, q = pos
+        bound = 0
+        if _LAMP_COST * (abs(p) + abs(q) + 1) + _EMPTY_SET_COST > self.left:
+            bound = _build_cost(check_press(pos))
+            self.spend(bound)
+        effect = press_effect(pos)
+        self.left += bound
+        self.spend(getsizeof(effect) + _HELD_LAMP_COST * len(effect))
+        return effect
+
+    def presses(self, at: list[Pos], made: dict) -> list[tuple[Pos, LampSet]]:
+        """Build each press of ``at`` that ``made`` lacks, for a search's table.
+
+        All of them are sized first (:func:`check_press`), so one over
+        ``PRESS_LAMP_LIMIT`` raises its ``ValueError`` before any charge;
+        then each is charged its entry in the table (``_EFFECT_COST``) and
+        built by :meth:`press`.
+        """
+        new = [pos for pos in at if pos not in made]
+        for pos in new:
+            check_press(pos)
+        self.spend(_EFFECT_COST * len(new))
+        return [(pos, self.press(pos)) for pos in new]
+
     def widen(self, lamps: int) -> None:
         """Charge the XORs of one state's expansion, ``lamps`` lamps in all.
 
@@ -415,20 +494,14 @@ class _Search:
     def _row(self, pos: Pos) -> tuple[tuple[LampSet, ...], int]:
         """Make, charge and record the row of presses at ``pos``.
 
-        Each press is made once per search.  The ones the search has not yet
-        made are sized first (:func:`check_press`), so a press over
-        ``PRESS_LAMP_LIMIT`` raises its ``ValueError`` before any charge,
-        and then charged by their sizes before any is built, so a search
-        never builds a press that its cap cannot pay for.
+        Each press is made once per search, by :meth:`_Budget.presses`, so
+        a search never builds a press that its cap cannot pay for.
         """
         p, q = pos
         effects = self.effects
         at = [(p + dp, q + dq) for dp, dq in _PRESSES]
-        new = [press for press in at if press not in effects]
-        sizes = [check_press(press) for press in new]
-        self.budget.spend(_ROW_COST + _EFFECT_COST * len(new) + _LAMP_COST * sum(sizes))
-        for press in new:
-            effects[press] = press_effect(press)
+        self.budget.spend(_ROW_COST)
+        effects.update(self.budget.presses(at, effects))
         row = tuple(effects[press] for press in at)
         self.rows[pos] = entry = row, sum(map(len, row))
         return entry
@@ -482,11 +555,149 @@ class _Search:
         return nxt
 
 
-def _ball(radius: int, memory_limit_mb: int | None) -> _Search:
-    """A search from the identity, on its own budget for a ball of ``radius``."""
+def _ball_budget(radius: int, memory_limit_mb: int | None) -> _Budget:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return _Search(_IDENTITY, _Budget(memory_limit_mb, f"ball of radius {radius}"))
+    return _Budget(memory_limit_mb, f"ball of radius {radius}")
+
+
+def _ball(radius: int, memory_limit_mb: int | None) -> _Search:
+    """A search from the identity, on its own budget for a ball of ``radius``."""
+    return _Search(_IDENTITY, _ball_budget(radius, memory_limit_mb))
+
+
+def _lamp_bit(lamp: Pos) -> int:
+    """The bit of a lampstand lamp in a packed key, zigzag over its half-axes.
+
+    (0, j) is bit 3j for j >= 0 and bit -3j - 2 for j < 0, and (-i, 0) is
+    bit 3i - 1, so a key is as wide as its farthest lamp, not its ball.
+    """
+    p, q = lamp
+    if p:
+        return -3 * p - 1
+    return 3 * q if q >= 0 else -3 * q - 2
+
+
+def _lamp_bits(lamps: LampSet) -> int:
+    return sum(1 << _lamp_bit(lamp) for lamp in lamps)
+
+
+def _bit_lamp(bit: int) -> Pos:
+    """The lamp of ``bit``: the inverse of :func:`_lamp_bit`."""
+    j, side = divmod(bit, 3)
+    if side == 0:
+        return (0, j)
+    return (0, -j - 1) if side == 1 else (-j - 1, 0)
+
+
+class _PackedBall:
+    """The ball B(k) about the identity, grown a layer at a time, an int a state.
+
+    The state (lamps, (p, q)) is the key ``bits << width | index``: ``bits``
+    sets the :func:`_lamp_bit` of each lamp, and the position index
+    (p + k)(2k + 1) + (q + k) takes ``width`` bits.  Prepending a move
+    toggles one press of the state's row, at its position plus an offset of
+    ``_PRESSES`` (as in :meth:`_Search.grow`), and steps by one of
+    ``_SHIFTS``, so the child is ``(key ^ mask) + delta``: ``mask`` the
+    press's lamp bits above the index, ``delta`` the step's change of
+    index.  The addition is safe: every letter moves at most one unit, so
+    each state of B(r) has |p|, |q| <= r, and a child of a state of
+    B(r - 1) is in B(r).  So while r <= k the child's index stays inside
+    [0, (2k + 1)^2), below ``1 << width``, and adding ``delta`` never
+    borrows from the lamp bits or carries into them.
+
+    ``grow`` keeps the contract of :meth:`_Search.grow`: the same states
+    in the same order, as keys, and the same origins.  ``depths`` maps
+    every key recorded so far to its layer.  A state is charged as it is
+    recorded: its key by ``getsizeof`` and its pointer in its layer.  The
+    table of ``depths`` is charged by ``getsizeof`` each time it grows,
+    after the frontier state that grew it, and never refunded: a dict holds
+    its old table and its new one while it moves, and the sum of its tables
+    covers that.  Each row is built once per position index, from each
+    press built once per search (:meth:`_Budget.press`) and kept as its
+    mask.  Keys become :class:`Element`\\ s only through :meth:`unpack`.
+    """
+
+    def __init__(self, radius: int, memory_limit_mb: int | None):
+        self.budget = _ball_budget(radius, memory_limit_mb)
+        self.budget.spend(_SEARCH_COST)
+        self.k, self.side = radius, 2 * radius + 1
+        self.width = (self.side**2 - 1).bit_length()
+        self.deltas = tuple(dp * self.side + dq for dp, dq in _SHIFTS)
+        start = self.pack(_IDENTITY)
+        self.frontier, self.depths, self.radius = [start], {start: 0}, 0
+        self.table = getsizeof(self.depths)
+        self.budget.spend(self.table + getsizeof(start) + _POINTER_COST)
+        self.lamp_at: list[Pos | None] = [None]
+        self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.masks: dict[Pos, int] = {}
+
+    def pack(self, g: Element) -> int:
+        """The key of ``g``, which must lie in the ball's window."""
+        p, q = g.pos
+        return _lamp_bits(g.lamps) << self.width | (p + self.k) * self.side + q + self.k
+
+    def unpack(self, key: int) -> Element:
+        """The :class:`Element` of a key the ball has recorded."""
+        p, q = divmod(key & ((1 << self.width) - 1), self.side)
+        bits, lamps, lamp_at = key >> self.width, [], self.lamp_at
+        if bits.bit_length() >= len(lamp_at):
+            # lamp_at[b + 1] is the lamp of bit b, made once per ball.
+            new = range(len(lamp_at) - 1, bits.bit_length())
+            self.budget.spend((_PAIR_COST + _POINTER_COST) * len(new))
+            lamp_at += map(_bit_lamp, new)
+        while bits:
+            low = bits & -bits
+            lamps.append(lamp_at[low.bit_length()])
+            bits ^= low
+        return Element(frozenset(lamps), (p - self.k, q - self.k))
+
+    def _row(self, index: int) -> tuple[tuple[int, int], ...]:
+        """Make, charge and record the (mask, delta) of each move at ``index``.
+
+        As :meth:`_Search._row`, each press made once per ball by
+        :meth:`_Budget.presses`, and kept as its mask, charged by
+        ``getsizeof``.
+        """
+        p, q = divmod(index, self.side)
+        p, q = p - self.k, q - self.k
+        masks, budget = self.masks, self.budget
+        at = [(p + dp, q + dq) for dp, dq in _PRESSES]
+        budget.spend(_PACKED_ROW_COST)
+        for press, effect in budget.presses(at, masks):
+            masks[press] = mask = _lamp_bits(effect) << self.width
+            budget.spend(getsizeof(mask))
+        lit = [masks[press] for press in at]
+        lit.append(0)
+        self.rows[index] = row = tuple(
+            (lit[press], self.deltas[shift]) for shift, press in _STEPS
+        )
+        return row
+
+    def grow(self, origins: list[int] | None = None) -> list[int]:
+        """Add the next layer, as :meth:`_Search.grow` does, and return its keys."""
+        if self.radius >= self.k:
+            raise ValueError(f"the ball is grown to its radius {self.k}")
+        self.radius += 1
+        depth, depths, rows = self.radius, self.depths, self.rows
+        low, width, spend = (1 << self.width) - 1, len(_MOVES), self.budget.spend
+        nxt: list[int] = []
+        for i, key in enumerate(self.frontier):
+            index = key & low
+            row = rows.get(index) or self._row(index)
+            for m, (mask, delta) in enumerate(row):
+                child = (key ^ mask) + delta
+                if child not in depths:
+                    spend(getsizeof(child) + _POINTER_COST)
+                    depths[child] = depth
+                    nxt.append(child)
+                    if origins is not None:
+                        origins.append(width * i + m)
+            if getsizeof(depths) > self.table:
+                self.table = getsizeof(depths)
+                spend(self.table)
+        self.frontier = nxt
+        return nxt
 
 
 def ball_with_depths(radius: int, memory_limit_mb: int | None = None) -> dict[Element, int]:
@@ -517,10 +728,14 @@ def sphere_sizes(
     """Sizes |S(0)|, ..., |S(r_max)| of the spheres about the identity.
 
     |S(0)| is the identity alone, and each later size the length of the
-    layer the ball's search grows (:func:`_ball`), on the budget and cap of
-    :func:`ball_with_depths`.
+    layer the packed ball grows (:class:`_PackedBall`), an int a state,
+    whose keys never become :class:`Element`\\ s.  Its budget is charged
+    what the packed ball holds, each press it makes and ``_SEARCH_COST``,
+    against ``memory_limit_mb`` (default ``DEFAULT_MEMORY_LIMIT_MB``, read
+    at call time).  :func:`ball_with_depths`, which grows the frozenset
+    :class:`_Search`, is its oracle.
     """
-    search = _ball(r_max, memory_limit_mb)
+    search = _PackedBall(r_max, memory_limit_mb)
     counts = [1] + [len(search.grow()) for _ in range(r_max)]
     return counts
 
@@ -567,10 +782,10 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     replayed here; :func:`exact_distance` replays it.  ``budget`` (default:
     a fresh one at ``DEFAULT_MEMORY_LIMIT_MB``) is charged what the solve
     holds: each press with its effect as it is made, and the lamps it
-    copies.  A press that could overrun the cap, by the most lamps its
-    position allows, is first sized and charged for its build, as a
-    search's presses are (:meth:`_Search._row`), so the cap is met before
-    it is built.  Before the walk starts the budget is also charged one
+    copies.  Each press is built by :meth:`_Budget.press`, as a search's
+    presses are: one that could overrun the cap is sized and charged for
+    its build, so the cap is met before it is built, and refunded to what
+    it holds once built.  Before the walk starts the budget is also charged one
     pointer per walked vertex, since the solve visits them all: a walk too
     long to solve fails at once.
 
@@ -637,15 +852,8 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     presses = set()
     for vertex, pivot in pairs:
         if pivot in residual:
-            # A press holds at most |p| + |q| + 1 lamps; one that might
-            # overrun the cap is sized and charged before it is built.
-            if _LAMP_COST * (abs(vertex[0]) + abs(vertex[1]) + 1) > budget.left:
-                budget.spend(_LAMP_COST * check_press(vertex))
-            effect = press_effect(vertex)
-            budget.spend(
-                _PRESS_COST + getsizeof(effect) + (_PAIR_COST + _INT_COST) * len(effect)
-            )
-            residual ^= effect
+            budget.spend(_PRESS_COST)
+            residual ^= budget.press(vertex)
             presses.add(vertex)
     budget.spend(_PRESS_COST * len(residual))
     return _word_from_path(path, presses | residual)
@@ -783,8 +991,12 @@ def certify_depth(
     in the radius-k ball.  Word length is inversion-invariant and u is an
     involution, so |u*b| = |b^-1*u|, and b -> b^-1 permutes the ball; the
     certifier therefore bounds the left-translates b*u instead, in one
-    loop that grows the ball a layer at a time (:meth:`_Search.grow`) and
-    bounds each new layer in its order.  The upper side of each bound is a
+    loop that grows the packed ball a layer at a time
+    (:meth:`_PackedBall.grow`) and bounds each new layer in its order.
+    Each key becomes an :class:`Element` (:meth:`_PackedBall.unpack`) only
+    where the proof needs one: each b and parent whose translate is
+    replayed by :func:`act_runs` or measured by :func:`exact_distance`,
+    and the failure.  The upper side of each bound is a
     replayed word.  For b = 1 it is the defining word of :func:`make_gn`,
     which must replay to u in 6n letters, while :func:`halfplane_bound`
     must give 6n for the lower side; that proves |u| = 6n, which is why
@@ -823,20 +1035,21 @@ def certify_depth(
         raise RuntimeError("anchor is expected to be an involution spelled by its word")
     if not halfplane_bound(anchor) == a_length(word) == radius:
         raise RuntimeError("anchor is expected to have length 6n")
-    search = _ball(k, memory_limit_mb)
+    ball = _PackedBall(k, memory_limit_mb)
     width, lit = len(_MOVES), anchor.lamps
     bounds, failure = [radius], None
-    while search.radius < k:
-        parents, parent_bounds, origins, bounds = search.frontier, bounds, [], []
-        layer = search.grow(origins if failure is None else None)
-        search.budget.spend(_BOUND_COST * len(origins))
+    while ball.radius < k:
+        parents, parent_bounds, origins, bounds = ball.frontier, bounds, [], []
+        layer = ball.grow(origins if failure is None else None)
+        ball.budget.spend(_BOUND_COST * len(origins))
         last = -1
-        for b, origin in zip(layer, origins):
+        for key, origin in zip(layer, origins):
             i, m = divmod(origin, width)
+            b = ball.unpack(key)
             translate = Element(b.lamps ^ lit, b.pos)
             if i != last:
                 # Recomputed per parent, so the frontier holds no translates.
-                lamps, pos = parents[i]
+                lamps, pos = ball.unpack(parents[i])
                 parent_translate = Element(lamps ^ lit, pos)
                 bound = parent_bounds[i]
                 if bound >= radius:
@@ -850,9 +1063,9 @@ def certify_depth(
                 try:
                     bounds.append(exact_distance(translate, radius, memory_limit_mb))
                 except RadiusExceeded:
-                    failure, depth = b, search.radius
+                    failure, depth = b, ball.radius
                     break
-    size = len(search.depths)
+    size = len(ball.depths)
     if failure is None:
         return DepthCertificate(n, k, radius, size, radius, "certified", None)
     word = witness_word(failure, _Budget(memory_limit_mb, "failure witness"))

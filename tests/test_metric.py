@@ -518,6 +518,8 @@ class TestBudget:
             *(lambda r=r: ball_with_depths(r) for r in range(1, 6)),
             lambda: ball_with_depths(6),
             lambda: ball_with_depths(8),
+            lambda: sphere_sizes(6),
+            lambda: sphere_sizes(8),
             lambda: exact_distance(make_gn(2)[0], 12),
             lambda: search_distance(make_gn(2)[0], 12),
             lambda: cold_tour(random_element(24, 3)),
@@ -525,7 +527,7 @@ class TestBudget:
         ],
         ids=[
             *(f"ball-{r}" for r in range(1, 6)),
-            "ball", "ball-8", "distance", "distance-search", "distance-wide-tour",
+            "ball", "ball-8", "spheres-6", "spheres-8", "distance", "distance-search", "distance-wide-tour",
             "distance-search-far",
         ],
     )
@@ -555,6 +557,32 @@ class TestBudget:
                 witness_word(g, metric._Budget(1, "witness word"))
 
         assert traced_peak(solve) < 2**20
+
+    def test_witness_of_a_large_press_replays_inside_the_cap(self):
+        # One press of 4,096 lamps, about 0.62 MiB traced while it is solved:
+        # its build is charged by its size, then refunded to what it holds.
+        g = Element(press_effect((4095, 0)), (4095, 0))
+        word = witness_word(g, metric._Budget(1, "witness word"))
+        assert (a_length(word), evaluate(word)) == (halfplane_bound(g), g)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: sphere_sizes(2**31, memory_limit_mb=1),
+            lambda: certify_depth(1, 2**31, memory_limit_mb=1),
+        ],
+        ids=["spheres", "certify"],
+    )
+    def test_a_huge_radius_costs_what_a_small_one_does(self, run):
+        # A key is as wide as its own lamps, not as its radius, so the ball
+        # meets the cap after about as many states as a small radius does.
+        def capped():
+            with pytest.raises(MemoryCapExceeded, match="1 MiB cap"):
+                run()
+
+        start = time.perf_counter()
+        assert traced_peak(capped) < 2 * 2**20
+        assert time.perf_counter() - start < 2
 
     def test_certify_opens_every_budget_at_its_cap(self, monkeypatch):
         # The ball, each fresh witness and the failure's witness.
@@ -657,29 +685,69 @@ class TestBallAndSpheres:
             assert children == list(firsts)
             assert origins == list(firsts.values())
 
+    @staticmethod
+    def frozenset_layers(radius):
+        search = metric._ball(radius, None)
+        layers, origins = [[identity()]], []
+        while search.radius < radius:
+            origins.append([])
+            layers.append(search.grow(origins[-1]))
+        expected = [(g, depth) for depth, layer in enumerate(layers) for g in layer]
+        assert list(search.depths.items()) == expected
+        return layers, origins
+
+    @staticmethod
+    def packed_layers(radius):
+        ball = metric._PackedBall(radius, None)
+        layers, origins = [ball.frontier], []
+        while ball.radius < radius:
+            origins.append([])
+            layers.append(ball.grow(origins[-1]))
+        # Past its radius a child could leave the window of its keys.
+        with pytest.raises(ValueError, match="grown to its radius 6"):
+            ball.grow()
+        return [list(map(ball.unpack, layer)) for layer in layers], origins
+
     def test_ball_matches_a_search_by_multiply(self):
-        expected = {identity(): 0}
+        expected = [[identity()]]
         expected_origins = []
-        frontier = [identity()]
+        seen = {identity()}
         for layer in range(1, 7):
             new, origins = [], []
-            for i, state in enumerate(frontier):
+            for i, state in enumerate(expected[-1]):
                 for m, mv in enumerate(metric._MOVES):
                     child = multiply(mv, state)
-                    if child not in expected:
-                        expected[child] = layer
+                    if child not in seen:
+                        seen.add(child)
                         new.append(child)
                         origins.append(len(metric._MOVES) * i + m)
+            expected.append(new)
             expected_origins.append(origins)
-            frontier = new
-        search = metric._ball(6, None)
-        seen = []
-        while search.radius < 6:
-            seen.append([])
-            search.grow(seen[-1])
-        assert list(search.depths.items()) == list(expected.items())
-        assert seen == expected_origins
+        for grow in (self.frozenset_layers, self.packed_layers):
+            assert grow(6) == (expected, expected_origins), grow.__name__
         assert sphere_sizes(6) == [1, 17, 70, 240, 722, 2000, 5234]
+
+    def test_sphere_sizes_count_the_frozenset_ball(self):
+        depths = list(ball_with_depths(7).values())
+        for r in range(8):
+            assert sphere_sizes(r) == [depths.count(d) for d in range(r + 1)], r
+
+    @given(st.data())
+    def test_packed_keys_round_trip(self, data):
+        # Elements in the window of B(r): |p|, |q| <= r, t-axis lamps in
+        # -r..r and s-axis lamps in -r..-1.
+        r = data.draw(st.integers(0, 40))
+        stand = [(0, j) for j in range(-r, r + 1)] + [(-i, 0) for i in range(1, r + 1)]
+        coord = st.integers(-r, r)
+        element = st.builds(
+            lambda lamps, p, q: Element(frozenset(lamps), (p, q)),
+            st.lists(st.sampled_from(stand), unique=True), coord, coord,
+        )
+        elements = data.draw(st.lists(element, min_size=1, max_size=8))
+        ball = metric._PackedBall(r, None)
+        keys = [ball.pack(g) for g in elements]
+        assert [ball.unpack(key) for key in keys] == elements
+        assert len(set(keys)) == len(set(elements))
 
 
 # States near +/-2^31 where every press of an expansion toggles few lamps.
