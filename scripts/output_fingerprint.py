@@ -103,7 +103,7 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true", help="smaller radius and anchors")
     args = parser.parse_args()
     sphere_radius, max_n, max_failed_n, ball_radius, hexagons = (
-        (6, 4, 1, 3, (12,)) if args.quick else (8, 6, 2, 5, (12, 48))
+        (6, 4, 1, 3, (12, 40)) if args.quick else (8, 6, 2, 5, (12, 48))
     )
 
     print(f"# sphere sizes r <= {sphere_radius}")
@@ -123,7 +123,7 @@ def main() -> int:
 
     print(f"# random_element(n, seed), n in {hexagons}: witness_word | exact_distance")
     for n in hexagons:
-        # At n = 12 and at n = 48 these seeds give every sign case of g.pos.
+        # At n = 12, 40 and 48 these seeds give every sign case of g.pos.
         for seed in range(24):
             g = random_element(n, seed)
             print(f"{format_word(witness_word(g))} | {exact_distance(g, 6 * n)}")

@@ -20,11 +20,17 @@ are immutable and safe to share across threads.  The one cache,
 ``press_effect``'s ``lru_cache``, holds at most 1024 entries and
 ``PRESS_LAMP_LIMIT`` lamps in all, by a rule on the presses it keeps (see
 the comment at ``press_effect``).
+
+The evaluator and the witness solve press the band of spans
+``FRAME_SPANS`` in a fixed frame instead: :func:`frame_press` gives a
+press as two ints, one bit per lamp, so that presses XOR as ints, and
+:func:`frame_lamps` reads the lamps back once at the end.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 Pos = tuple[int, int]
@@ -161,16 +167,126 @@ def _build_press(pos: Pos) -> LampSet:
 #     certify_depth(4, 9)     70,830            200            200
 #     certify_depth(5, 10)   513,041            251            251
 #     distance benchmark         474             21             21
-#     hexagon benchmark       25,374          4,775          6,486
+#     hexagon benchmark        3,243            250            250
 #
 # Each search makes each of its presses once and keeps them itself
-# (metric._Search).  The hexagon benchmark's extra misses are presses that
-# later texts of its batch happen to share.
+# (metric._Search).  The presses of the band (FRAME_SPANS, below) that
+# words.act_runs and metric.witness_word make are frame ints and never
+# reach the cache.  As sets they would take the hexagon benchmark 25,374
+# calls and 6,486 misses, most of them presses of its 96 witnesses that no
+# other text shares, which no cache size would serve.
 _CACHED_PRESSES = 1024
 _cached_press = lru_cache(maxsize=_CACHED_PRESSES)(_build_press)
 # press_effect reports and clears its cache as an lru_cache function does.
 press_effect.cache_info = _cached_press.cache_info
 press_effect.cache_clear = _cached_press.cache_clear
+
+
+# The frame: inside the band FRAME_MIN_SPAN <= |p| + |q| < FRAME a press is
+# also two ints, one per axis, in a frame fixed for every press of the band:
+# lamp (0, j) is bit j + FRAME of the t-axis int, and lamp (i, 0) bit
+# i + FRAME of the s-axis int.  Every lamp of such a press lies within
+# +/-(FRAME - 1) of the origin, so no int is wider than 2 * FRAME bits, and
+# XORing presses is XORing ints, with no frozenset built per press.
+#
+# The upper edge is the cache's bound.  Past it a press keeps its set, whose
+# cost is its lamps, where bits would cost its span: the 8 lamps of the
+# press at (2^19 + 5, 0) took 11 ms to build and read as bits, 2 us as a
+# set.  The lower edge is where the cache stops serving a job's presses
+# (timings on Python 3.11, one core of a shared 2-core host).  A cached press
+# with its set XOR is cheaper than one built as ints and read back into
+# lamps: a one-letter act_runs, as certify_depth replays, took 1.5 to 1.8 us
+# by sets and 3.4 to 4.1 us by the frame at every span from 4 to 32.  A
+# press missed is dearer: on batches of 60 random 40-letter words pressing
+# near span s, the cache cleared per batch, act_runs took 36, 40, 56, 67 and
+# 78 us a word by sets and 35, 36, 39, 42 and 45 us by the frame at s = 4,
+# 8, 16, 24 and 32.  Below span 24 the presses are near the origin, where
+# the 1,105 positions with |p| + |q| < 24 about fill the cache's 1024
+# entries, so a job pressing there again and again, as certify_depth and
+# the distance benchmark do, finds them cached.  witness_word crosses there
+# too: on batches of 60 random_element(n) the frame took 3% more at a median
+# box span of 24 and 4% less at 28.
+FRAME = PRESS_LAMP_LIMIT // _CACHED_PRESSES
+FRAME_MIN_SPAN = 24
+# The band, as spans |p| + |q|: `span in FRAME_SPANS` is one C-level test.
+FRAME_SPANS = range(FRAME_MIN_SPAN, FRAME)
+
+
+def _submasks(n: int, count: int) -> int:
+    """The int with bit r set for each r that :func:`_odd_binomials` yields.
+
+    Read 2-adically, those r are the submasks of n below ``count`` (>= 1).
+    The submasks of n within the bits of ``count - 1`` are the product of
+    1 + x^(2^b) over the bits 2^b of n there, one shift-OR each; ``count``
+    then cuts them off.
+    """
+    bits = n & ((1 << (count - 1).bit_length()) - 1)
+    poly = 1
+    while bits:
+        low = bits & -bits
+        poly |= poly << low
+        bits ^= low
+    return poly & ((1 << count) - 1)
+
+
+def frame_press(pos: Pos) -> tuple[int, int]:
+    """:func:`press_effect` of a press with |p| + |q| < FRAME, as frame ints.
+
+    Returns the (s-axis, t-axis) ints of :func:`_build_press`'s closed form,
+    read as bits of the frame.  For p < 0 <= q the t-axis lamps are q + p - r
+    for the r <= q + p with r & ~p == 0.  With 2^K the least power of two
+    above q + p, those r are the submasks of M = p mod 2^K, and r -> M - r
+    maps the submasks of M onto themselves, so the lamps are the submasks
+    of M shifted by q + p - M; the shifted ones below lamp 0, from
+    r > q + p, fall under bit FRAME and are cut off.
+    """
+    p, q = pos
+    if p >= 0:
+        return 0, _submasks(p, p + 1) << (q + FRAME)
+    s_axis = _submasks(q, -p) << (p + FRAME)
+    if q < 0:
+        return s_axis, _submasks(p, -q) << (q + FRAME)
+    top = q + p
+    if top < 0:
+        return s_axis, 0
+    degree = p & ((1 << top.bit_length()) - 1)
+    return s_axis, _submasks(degree, degree + 1) << (top - degree + FRAME) >> FRAME << FRAME
+
+
+def frame_bits(lamps) -> tuple[int, int]:
+    """The (s-axis, t-axis) frame ints of lampstand ``lamps`` within the frame."""
+    s_axis = t_axis = 0
+    for i, j in lamps:
+        if i:
+            s_axis |= 1 << (i + FRAME)
+        else:
+            t_axis |= 1 << (j + FRAME)
+    return s_axis, t_axis
+
+
+# bin() digits as the bytes 0 and 1, for itertools.compress.
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _frame_offsets(bits: int) -> list[int]:
+    """The offsets i - FRAME of the set bits i of ``bits``, in increasing order.
+
+    Only the digits from the lowest set bit to the highest are scanned,
+    and the scan runs in C: one ``bin`` and one ``compress``.
+    """
+    if not bits:
+        return []
+    low = (bits & -bits).bit_length() - 1
+    digits = bin(bits >> low)[:1:-1].encode().translate(_DIGITS)
+    return list(compress(range(low - FRAME, bits.bit_length() - FRAME), digits))
+
+
+def frame_lamps(s_axis: int, t_axis: int) -> list[Pos]:
+    """The lamps of the frame ints ``s_axis`` and ``t_axis``: the inverse of
+    :func:`frame_bits`."""
+    lamps = [(i, 0) for i in _frame_offsets(s_axis)]
+    lamps += [(0, j) for j in _frame_offsets(t_axis)]
+    return lamps
 
 
 class Element(NamedTuple):

@@ -35,15 +35,21 @@ identical counts and certificates.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import asdict, dataclass
 from itertools import chain, product
 from sys import getsizeof
 
 from .core import (
+    FRAME,
+    FRAME_SPANS,
     Element,
     LampSet,
     Pos,
     check_press,
+    frame_bits,
+    frame_lamps,
+    frame_press,
     identity,
     multiply,
     press_effect,
@@ -80,9 +86,10 @@ _SLOT_COST = getsizeof(dict.fromkeys(range(1024))) // 1024
 _INT_COST = getsizeof(2**30)
 _STATE_COST = getsizeof(identity()) + _SLOT_COST + _POINTER_COST
 # certify_depth also keeps, for each state of the layer it bounds, its origin
-# (an int and a list pointer) and its bound (a list pointer to a small int
-# Python caches).
-_BOUND_COST = _INT_COST + 2 * _POINTER_COST
+# and its bound, an item of each of two array('q') rows, which over-allocate
+# by 1/16 as they grow.
+_ROW_ITEM_COST = array("q").itemsize
+_BOUND_COST = 2 * _ROW_ITEM_COST + _ROW_ITEM_COST // 8
 # A press of a witness holds its position pair and coordinates, a slot in
 # each of the three press sets of the solve and the fuser, a stop pair on
 # its leg and up to two runs; on replay a lampstand press caches its
@@ -98,6 +105,9 @@ _WALK_COST = _POINTER_COST
 # Frames, generators, the path and the word of one witness: about 3 kB by
 # tracemalloc, rounded up.
 _SOLVE_COST = 4096
+# A solve in the frame (core.FRAME) holds its two frame ints, a press's two
+# and the shifted copy a pivot test makes, none wider than 2 * FRAME bits.
+_FRAME_COST = 5 * getsizeof(1 << 2 * FRAME)
 # A built press holds its frozenset, by getsizeof, and a pair and an int per
 # lamp.  While it is built it also holds a list pointer per lamp, and its
 # set's table moves to a larger one as it fills (_table_entries): at most
@@ -144,6 +154,30 @@ def _table_entries(n: int) -> int:
         while grown <= filled * (2 if filled > 50000 else 4):
             grown <<= 1
         peak, size = max(peak, size + grown), grown
+
+
+# A dict's table holds an index slot per slot and an entry of a hash, a key
+# and a value per key it can hold; _DICT_COST is the rest, by getsizeof of a
+# dict of 8 slots, 1-byte index slots and 5 entries.
+_DICT_ENTRY_COST = 3 * _POINTER_COST
+_DICT_COST = getsizeof({0: 0}) - 8 - 5 * _DICT_ENTRY_COST
+
+
+def _dict_table(keys: int) -> tuple[int, int]:
+    """The table an insert-only dict holds ``keys`` keys in: how many keys it
+    holds before the next insert moves it, and the dict's getsizeof.
+
+    CPython starts a dict at 8 slots.  A table of S slots holds 2S/3 keys,
+    and the insert that finds it full moves them to a table of the least
+    power of two at or above three times as many slots.  Its index slots
+    take 1 byte up to 2^7 slots, 2 up to 2^15, 4 up to 2^31, else 8.
+    """
+    size = 8
+    while 2 * size // 3 < keys:
+        size = 1 << (3 * (2 * size // 3) - 1).bit_length()
+    full = 2 * size // 3
+    index = 1 if size <= 1 << 7 else 2 if size <= 1 << 15 else 4 if size <= 1 << 31 else 8
+    return full, _DICT_COST + index * size + _DICT_ENTRY_COST * full
 
 
 def _build_cost(lamps: int) -> int:
@@ -609,9 +643,10 @@ class _PackedBall:
     ``grow`` keeps the contract of :meth:`_Search.grow`: the same states
     in the same order, as keys, and the same origins.  ``depths`` maps
     every key recorded so far to its layer.  A state is charged as it is
-    recorded: its key by ``getsizeof`` and its pointer in its layer.  The
-    table of ``depths`` is charged by ``getsizeof`` each time it grows,
-    after the frontier state that grew it, and never refunded: a dict holds
+    recorded: its key by ``getsizeof`` and its pointer in its layer.  Each
+    table of ``depths`` is charged its dict's ``getsizeof`` by CPython's
+    growth rule (:func:`_dict_table`) before the frontier state whose
+    children could move the dict to it, and never refunded: a dict holds
     its old table and its new one while it moves, and the sum of its tables
     covers that.  Each row is built once per position index, from each
     press built once per search (:meth:`_Budget.press`) and kept as its
@@ -626,8 +661,8 @@ class _PackedBall:
         self.deltas = tuple(dp * self.side + dq for dp, dq in _SHIFTS)
         start = self.pack(_IDENTITY)
         self.frontier, self.depths, self.radius = [start], {start: 0}, 0
-        self.table = getsizeof(self.depths)
-        self.budget.spend(self.table + getsizeof(start) + _POINTER_COST)
+        self.full, table = _dict_table(1)
+        self.budget.spend(table + getsizeof(start) + _POINTER_COST)
         self.lamp_at: list[Pos | None] = [None]
         self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
         self.masks: dict[Pos, int] = {}
@@ -674,7 +709,7 @@ class _PackedBall:
         )
         return row
 
-    def grow(self, origins: list[int] | None = None) -> list[int]:
+    def grow(self, origins: array | list[int] | None = None) -> list[int]:
         """Add the next layer, as :meth:`_Search.grow` does, and return its keys."""
         if self.radius >= self.k:
             raise ValueError(f"the ball is grown to its radius {self.k}")
@@ -683,6 +718,11 @@ class _PackedBall:
         low, width, spend = (1 << self.width) - 1, len(_MOVES), self.budget.spend
         nxt: list[int] = []
         for i, key in enumerate(self.frontier):
+            # Each table the state's children could move depths to is
+            # charged before they go in.
+            while len(depths) + width > self.full:
+                self.full, table = _dict_table(self.full + 1)
+                spend(table)
             index = key & low
             row = rows.get(index) or self._row(index)
             for m, (mask, delta) in enumerate(row):
@@ -693,9 +733,6 @@ class _PackedBall:
                     nxt.append(child)
                     if origins is not None:
                         origins.append(width * i + m)
-            if getsizeof(depths) > self.table:
-                self.table = getsizeof(depths)
-                spend(self.table)
         self.frontier = nxt
         return nxt
 
@@ -740,13 +777,15 @@ def sphere_sizes(
     return counts
 
 
-def _plan(g: Element) -> tuple[list[Pos], chain[tuple[Pos, Pos]]]:
-    """The box tour of :func:`witness_word`: its walk and its solving order.
+def _plan(g: Element) -> tuple[list[Pos], chain[tuple[Pos, Pos]], int]:
+    """The box tour of :func:`witness_word`: its walk, its solving order and
+    its box's F + D + P + Q.
 
     The walk is the list of its corners, from the origin to ``g.pos``
     (:func:`_walk_to`).  The order is the (vertex, pivot) pairs of the
     sweeps that the signs of ``g.pos`` select, sweep after sweep; the proof
-    that it works is :func:`witness_word`'s.
+    that it works is :func:`witness_word`'s.  Every walked vertex lies in
+    the box of :func:`_box`, so its |p| + |q| is at most F + D + P + Q.
     """
     F, D, P, Q = _box(g)
     ep, eq = g.pos
@@ -764,7 +803,7 @@ def _plan(g: Element) -> tuple[list[Pos], chain[tuple[Pos, Pos]]]:
     path = [(0, 0)]
     for corner in corners + [g.pos]:
         _walk_to(path, corner)
-    return path, chain((((x, q), (0, q)) for q in range(-D, base)), *sweeps)
+    return path, chain((((x, q), (0, q)) for q in range(-D, base)), *sweeps), F + D + P + Q
 
 
 def witness_word(g: Element, budget: _Budget | None = None) -> Word:
@@ -782,12 +821,20 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     replayed here; :func:`exact_distance` replays it.  ``budget`` (default:
     a fresh one at ``DEFAULT_MEMORY_LIMIT_MB``) is charged what the solve
     holds: each press with its effect as it is made, and the lamps it
-    copies.  Each press is built by :meth:`_Budget.press`, as a search's
-    presses are: one that could overrun the cap is sized and charged for
-    its build, so the cap is met before it is built, and refunded to what
-    it holds once built.  Before the walk starts the budget is also charged one
-    pointer per walked vertex, since the solve visits them all: a walk too
-    long to solve fails at once.
+    copies.  Before the walk starts the budget is also charged one pointer
+    per walked vertex, since the solve visits them all: a walk too long to
+    solve fails at once.
+
+    Every walked vertex has |p| + |q| <= F + D + P + Q, the box's span
+    (:func:`_plan`).  When the span is in the band ``FRAME_SPANS`` the
+    residual lamps are two frame ints (:func:`~lampgrid.core.frame_bits`):
+    each pivot test is a bit test, each press XORs the two ints of
+    :func:`~lampgrid.core.frame_press`, the frame is charged once
+    (``_FRAME_COST``), and the residual is read off the frame at the end.
+    Outside the band the residual is a lamp set, and each press is built
+    by :meth:`_Budget.press`, as a search's presses are: one that could
+    overrun the cap is sized and charged for its build, so the cap is met
+    before it is built, and refunded to what it holds once built.
 
     The presses are solved by back-substitution, and its order is the proof
     that they exist.  Let (-F, -D) and (P, Q) be the corners of the box.
@@ -843,20 +890,33 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     """
     if budget is None:
         budget = _Budget(None, "witness word")
-    # The walk's vertices, and a residual slot for each lamp of g.
-    budget.spend(
-        _SOLVE_COST + _WALK_COST * (halfplane_bound(g) + 1) + _SLOT_COST * len(g.lamps)
-    )
-    path, pairs = _plan(g)
-    residual = set(g.lamps)
+    path, pairs, span = _plan(g)
+    # The walk's vertices, halfplane_bound(g) moves, and a residual slot for
+    # each lamp of g.
+    walk = 2 * span - abs(g.pos[0]) - abs(g.pos[1])
+    budget.spend(_SOLVE_COST + _WALK_COST * (walk + 1) + _SLOT_COST * len(g.lamps))
     presses = set()
-    for vertex, pivot in pairs:
-        if pivot in residual:
-            budget.spend(_PRESS_COST)
-            residual ^= budget.press(vertex)
-            presses.add(vertex)
+    if span in FRAME_SPANS:
+        # Every walked vertex, and so every press, is inside the frame.
+        budget.spend(_FRAME_COST)
+        s_axis, t_axis = frame_bits(g.lamps)
+        for vertex, (i, j) in pairs:
+            if (s_axis >> (i + FRAME) if i else t_axis >> (j + FRAME)) & 1:
+                budget.spend(_PRESS_COST)
+                s_bits, t_bits = frame_press(vertex)
+                s_axis ^= s_bits
+                t_axis ^= t_bits
+                presses.add(vertex)
+        residual = frame_lamps(s_axis, t_axis)
+    else:
+        residual = set(g.lamps)
+        for vertex, pivot in pairs:
+            if pivot in residual:
+                budget.spend(_PRESS_COST)
+                residual ^= budget.press(vertex)
+                presses.add(vertex)
     budget.spend(_PRESS_COST * len(residual))
-    return _word_from_path(path, presses | residual)
+    return _word_from_path(path, presses.union(residual))
 
 
 def exact_distance(
@@ -1037,9 +1097,9 @@ def certify_depth(
         raise RuntimeError("anchor is expected to have length 6n")
     ball = _PackedBall(k, memory_limit_mb)
     width, lit = len(_MOVES), anchor.lamps
-    bounds, failure = [radius], None
+    bounds, failure = array("q", [radius]), None
     while ball.radius < k:
-        parents, parent_bounds, origins, bounds = ball.frontier, bounds, [], []
+        parents, parent_bounds, origins, bounds = ball.frontier, bounds, array("q"), array("q")
         layer = ball.grow(origins if failure is None else None)
         ball.budget.spend(_BOUND_COST * len(origins))
         last = -1

@@ -21,6 +21,8 @@ one word evaluator, folds the runs: a run that presses nothing moves by
 its count at once, ``a^k`` presses once when k is odd and not at all when
 it is even, ``ata^k`` and ``asa^k`` press at their two ends, and any other
 run presses a segment of its line, as one closed form when it is long.
+Presses in the band of spans ``core.FRAME_SPANS`` fold as ints in a fixed
+frame, the others as lamp sets.
 
 Inverses are free: moves are drawn from A together with the inverses of
 its letters.  Since ``a`` is an involution this gives 17 distinct moves,
@@ -37,9 +39,12 @@ from typing import NamedTuple
 
 from .core import (
     COORD_LIMIT,
+    FRAME_SPANS,
     PRESS_LAMP_LIMIT,
     Element,
     Pos,
+    frame_lamps,
+    frame_press,
     identity,
     press_effect,
     press_size,
@@ -312,13 +317,21 @@ def act_runs(runs, state: Element) -> Element:
     presses, each the size of the first, would toggle over
     ``PRESS_LAMP_LIMIT`` lamps in all.  The segment builds two presses,
     so for presses that large it costs no more from three letters on, and
-    its gain grows with the count.  The runs are folded on one mutable lamp
-    set and position; ``state`` itself is left as it was.  After each run
-    that presses, the set may hold at most ``RUN_LAMP_LIMIT`` lamps, else
-    ``ValueError`` naming the count, so runs that each stay within the
-    limit cannot build up an unbounded set.
+    its gain grows with the count.  The runs are folded on a mutable lamp
+    set, two frame ints and a position; ``state`` itself is left as it
+    was.  A press in the band ``FRAME_SPANS`` XORs into the frame ints
+    (:func:`~lampgrid.core.frame_press`), any other press and every
+    segment into the set, and the frame's lamps join the set once, at the
+    end.  After each run that presses, at most ``RUN_LAMP_LIMIT`` lamps
+    may be lit, else ``ValueError`` naming the count, so runs that each
+    stay within the limit cannot build up an unbounded set.  The frame
+    pressed into since it was last read in holds at most ``framed``
+    lamps, each press's |p| + |q| + 1; when the set's size plus that could
+    pass the limit, the frame is read into the set first and the set's
+    size is the count.
     """
     lamps = set(state.lamps)
+    s_axis = t_axis = framed = 0
     p, q = state.pos
     for letter, count in reversed(runs):
         before, (dp, dq), after = ACTIONS[letter]
@@ -327,13 +340,9 @@ def act_runs(runs, state: Element) -> Element:
             q += count * dq
             continue
         if not (dp or dq):
-            if count & 1:
-                lamps ^= press_effect((p, q))
+            at = [(p, q)] if count & 1 else []
         elif before and after:
-            lamps ^= press_effect((p, q))
-            p += count * dp
-            q += count * dq
-            lamps ^= press_effect((p, q))
+            at = [(p, q), (p + count * dp, q + count * dq)]
         else:
             first = (p, q) if before else (p + dp, q + dq)
             if count > LONG_RUN or count > 2 and _presses_exceed_limit(first, count):
@@ -341,19 +350,32 @@ def act_runs(runs, state: Element) -> Element:
                     lamps ^= _segment_effect(first, (dp, dq), count)
                 except ValueError as exc:
                     raise ValueError(f"run {letter.base}^{letter.sign * count}: {exc}") from None
-                p += count * dp
-                q += count * dq
+                at = []
             else:
-                while count:
-                    if before:
-                        lamps ^= press_effect((p, q))
-                    p += dp
-                    q += dq
-                    if after:
-                        lamps ^= press_effect((p, q))
-                    count -= 1
-        if len(lamps) > RUN_LAMP_LIMIT:
-            raise ValueError(f"{len(lamps)} lamps lit, over the limit of {RUN_LAMP_LIMIT}")
+                at = [first]
+                x, y = first
+                for _ in range(count - 1):
+                    x += dp
+                    y += dq
+                    at.append((x, y))
+        p += count * dp
+        q += count * dq
+        for pos in at:
+            span = abs(pos[0]) + abs(pos[1])
+            if span in FRAME_SPANS:
+                s_bits, t_bits = frame_press(pos)
+                s_axis ^= s_bits
+                t_axis ^= t_bits
+                framed += span + 1
+            else:
+                lamps ^= press_effect(pos)
+        if len(lamps) + framed > RUN_LAMP_LIMIT:
+            lamps.symmetric_difference_update(frame_lamps(s_axis, t_axis))
+            s_axis = t_axis = framed = 0
+            if len(lamps) > RUN_LAMP_LIMIT:
+                raise ValueError(f"{len(lamps)} lamps lit, over the limit of {RUN_LAMP_LIMIT}")
+    if s_axis or t_axis:
+        lamps.symmetric_difference_update(frame_lamps(s_axis, t_axis))
     return Element(frozenset(lamps), (p, q))
 
 

@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from lampgrid import (
@@ -183,6 +183,49 @@ class TestPressSize:
             press_effect((2**21 - 1, 0))
         with pytest.raises(ValueError, match="over the limit"):
             press_effect((-5, 2**31 - 1))
+
+
+@st.composite
+def band_presses(draw):
+    """Presses whose |p| + |q| is in the band, in each sign case of (p, q),
+    with the band's edges drawn often."""
+    span = draw(
+        st.one_of(
+            st.sampled_from((core.FRAME_MIN_SPAN, core.FRAME - 2, core.FRAME - 1)),
+            st.integers(core.FRAME_MIN_SPAN, core.FRAME - 1),
+        )
+    )
+    size = draw(st.integers(0, span))
+    sp, sq = draw(st.sampled_from(((1, 1), (1, -1), (-1, 1), (-1, -1))))
+    return sp * size, sq * (span - size)
+
+
+def assert_frame_press_is_the_effect(pos):
+    s_axis, t_axis = core.frame_press(pos)
+    effect = press_effect(pos)
+    assert core.frame_bits(effect) == (s_axis, t_axis), pos
+    lamps = core.frame_lamps(s_axis, t_axis)
+    assert len(lamps) == len(effect) and set(lamps) == effect, pos
+    assert max(s_axis.bit_length(), t_axis.bit_length()) <= 2 * core.FRAME, pos
+
+
+class TestFramePress:
+    def test_is_the_effect_near_the_origin(self):
+        # Every sign case, p < 0 <= q with q + p < 0 (no t-axis lamps) among them.
+        band = [
+            (p, q)
+            for p in range(-40, 41)
+            for q in range(-40, 41)
+            if abs(p) + abs(q) in core.FRAME_SPANS
+        ]
+        assert (-30, 10) in band
+        for pos in band:
+            assert_frame_press_is_the_effect(pos)
+
+    @given(band_presses())
+    @settings(max_examples=300)
+    def test_is_the_effect_across_the_band(self, pos):
+        assert_frame_press_is_the_effect(pos)
 
 
 def act_one(base, sign, state):

@@ -1,11 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
 from itertools import product
 from pathlib import Path
+from sys import getsizeof
 
 import pytest
 from hypothesis import given, settings
@@ -394,7 +396,7 @@ class TestExactDistance:
 
 
 class TestBoxTour:
-    @pytest.mark.parametrize("n", [2, 6, 12, 24, 48, 96])
+    @pytest.mark.parametrize("n", [2, 6, 8, 12, 24, 40, 48, 96, 300])
     def test_replays_at_the_bound(self, n):
         for seed in range(100):
             g = random_element(n, seed)
@@ -418,6 +420,35 @@ class TestBoxTour:
                     assert evaluate(word) == g, g
                     assert a_length(word) == halfplane_bound(g) + (g == A_ELEMENT), g
 
+    @pytest.mark.parametrize("span, in_frame", [(1023, True), (1024, False)])
+    def test_replays_at_the_band_edge(self, monkeypatch, span, in_frame):
+        # Boxes with F + D + P + Q at the band's upper edge, one per sign
+        # case of g.pos: the solve is in the frame just inside it.
+        framed = []
+
+        def counted(pos):
+            framed.append(pos)
+            return core.frame_press(pos)
+
+        monkeypatch.setattr(metric, "frame_press", counted)
+        rng = random.Random(span)
+        extra = span - 1023
+        for pos, far, low, top in [
+            ((300, 200), 200, 123, 700 + extra),
+            ((-250, 100), 300, 200, 523 + extra),
+            ((150, -220), 100, 300, 623 + extra),
+            ((-200, -300), 250, 310, 463 + extra),
+        ]:
+            stand = [(-i, 0) for i in range(1, far)] + [(0, j) for j in range(1 - low, top)]
+            lamps = {(-far, 0), (0, -low), (0, top)}
+            lamps.update(pt for pt in stand if rng.random() < 0.05)
+            g = Element(frozenset(lamps), pos)
+            assert sum(metric._box(g)) == span, pos
+            framed.clear()
+            word = witness_word(g)
+            assert bool(framed) == in_frame, pos
+            assert (a_length(word), evaluate(word)) == (length_lower_bound(g), g), pos
+
     def test_each_press_settles_its_pivot_for_good(self):
         # The back-substitution lemma, pair by pair, on every box of lamps on
         # H_3's lampstand (the plan reads the lamps only through their
@@ -426,7 +457,7 @@ class TestBoxTour:
             lamps = frozenset({(0, top), (0, -low), (-far, 0)} - {(0, 0)})
             for pos in product(range(-7, 8), repeat=2):
                 g = Element(lamps, pos)
-                path, pairs = metric._plan(g)
+                path, pairs, span = metric._plan(g)
                 walked = set(fuse_by_vertex(path, ())[1])
                 pivots = set()
                 for vertex, pivot in pairs:
@@ -436,6 +467,8 @@ class TestBoxTour:
                     assert vertex in walked, (g, vertex)
                     pivots.add(pivot)
                 F, D, P, Q = metric._box(g)
+                assert span == F + D + P + Q, g
+                assert all(abs(p) + abs(q) <= span for p, q in walked), g
                 stand = {(-i, 0) for i in range(1, F + 1)} | {(0, j) for j in range(-D, P + Q + 1)}
                 assert stand - pivots <= walked, g
 
@@ -564,6 +597,27 @@ class TestBudget:
         g = Element(press_effect((4095, 0)), (4095, 0))
         word = witness_word(g, metric._Budget(1, "witness word"))
         assert (a_length(word), evaluate(word)) == (halfplane_bound(g), g)
+
+    def test_dict_tables_follow_cpython(self):
+        # The table and getsizeof that _dict_table gives for each count of
+        # keys are those of a dict that grows by inserts, as depths does.
+        grown = {-1: 0}
+        for keys in range(1, 50000):
+            full, size = metric._dict_table(keys)
+            assert (size, keys <= full) == (getsizeof(grown), True), keys
+            grown[keys] = 0
+
+    def test_ball_charges_a_table_before_it_moves(self):
+        # B(8) has charged about 4.1 MiB when depths moves from 2^16 to 2^17
+        # slots, at its 43,691st key, and 6.6 MiB with the new table: the
+        # 5 MiB cap is met before the move, while the ball holds under 3 MiB.
+        # Were the table charged after the move, the move would take the
+        # traced peak past 5.4 MiB first.
+        def capped():
+            with pytest.raises(MemoryCapExceeded, match="5 MiB cap"):
+                sphere_sizes(8, memory_limit_mb=5)
+
+        assert traced_peak(capped) < 5 * 2**20
 
     @pytest.mark.parametrize(
         "run",

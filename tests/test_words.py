@@ -261,6 +261,57 @@ class TestRunFold:
             evaluate(parse("at^4 t^4 at^4", METRIC))
         assert evaluate(parse("at^-6 at^6", METRIC)) == identity()
 
+    @given(
+        metric_words(max_len=40),
+        elements(max_n=6),
+        st.sampled_from(("s", "t")),
+        st.sampled_from((1, -1)),
+        st.one_of(
+            st.integers(core.FRAME_MIN_SPAN - 12, core.FRAME_MIN_SPAN + 12),
+            st.integers(core.FRAME - 40, core.FRAME + 40),
+        ),
+    )
+    def test_matches_letter_fold_across_the_band_edges(self, word, state, base, sign, k):
+        # s^k or t^k acts first, so the word presses below, inside and
+        # beyond the band of frame presses, across one of its edges.
+        word = concat(word, Word(((Letter(base, sign), k),)))
+        assert act_runs(word.runs, state) == fold_letters(word.letters, state)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([base for base in METRIC_BASES if base not in ("s", "t")]),
+                st.sampled_from((1, -1)),
+                st.integers(1, 6),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from(("s", "t")),
+        st.integers(core.FRAME_MIN_SPAN, 60),
+        st.integers(1, 40),
+    )
+    def test_lamp_limit_is_exact_in_the_frame(self, presses, base, k, limit):
+        # Runs that press in the band, after s^k or t^k: the first run after
+        # which over `limit` lamps are lit fails, with that count, as the
+        # letter fold counts it.
+        word = Word(merge_runs([(Letter(b, sign), count) for b, sign, count in presses]))
+        word = concat(word, Word(((Letter(base, 1), k),)))
+        expected = None
+        for r in range(1, len(word.runs) + 1):
+            before, _, after = ACTIONS[word.runs[-r][0]]
+            lit = len(fold_letters(Word(word.runs[-r:]).letters, identity()).lamps)
+            if (before or after) and lit > limit:
+                expected = f"^{lit} lamps lit, over the limit of {limit}$"
+                break
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(words, "RUN_LAMP_LIMIT", limit)
+            if expected is None:
+                assert act_runs(word.runs, identity()) == fold_letters(word.letters, identity())
+            else:
+                with pytest.raises(ValueError, match=expected):
+                    act_runs(word.runs, identity())
+
     def test_long_lampstand_runs_cancel(self):
         # Each run toggles 2^20 + 1 one-lamp presses on the t-axis.
         assert evaluate(parse("at^1048577 at^-1048577", METRIC)) == identity()
