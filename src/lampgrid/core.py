@@ -21,10 +21,18 @@ are immutable and safe to share across threads.  The one cache,
 ``PRESS_LAMP_LIMIT`` lamps in all, by a rule on the presses it keeps (see
 the comment at ``press_effect``).
 
-The evaluator and the witness solve press the band of spans
-``FRAME_SPANS`` in a fixed frame instead: :func:`frame_press` gives a
-press as two ints, one bit per lamp, so that presses XOR as ints, and
-:func:`frame_lamps` reads the lamps back once at the end.
+A press takes one of three routes by its span |p| + |q|, and the word
+evaluator ``words.act_runs`` picks a press's route once:
+
+* below ``FRAME_MIN_SPAN`` (24), the cache ``cached_press`` itself;
+* below ``FRAME`` (1024), the frame: :func:`frame_press` gives the press
+  as two ints, one bit per lamp, so that presses XOR as ints, and
+  :func:`frame_lamps` reads the lamps back once at the end;
+* from ``FRAME`` on, :func:`press_effect`, which builds it on each call.
+
+:func:`press_effect` itself serves every span below ``FRAME`` from the
+cache; the witness solve ``metric.witness_word`` takes the frame when its
+whole walk lies in the band ``FRAME_SPANS``.
 """
 
 from __future__ import annotations
@@ -135,7 +143,7 @@ def press_effect(pos: Pos) -> LampSet:
     p, q = pos
     span = abs(p) + abs(q)
     if span < PRESS_LAMP_LIMIT // _CACHED_PRESSES:
-        return _cached_press(pos)
+        return cached_press(pos)
     # An effect has at most |p| + |q| + 1 lamps, so most presses skip the count.
     if span >= PRESS_LAMP_LIMIT:
         check_press(pos)
@@ -170,16 +178,19 @@ def _build_press(pos: Pos) -> LampSet:
 #     hexagon benchmark        3,243            250            250
 #
 # Each search makes each of its presses once and keeps them itself
-# (metric._Search).  The presses of the band (FRAME_SPANS, below) that
-# words.act_runs and metric.witness_word make are frame ints and never
-# reach the cache.  As sets they would take the hexagon benchmark 25,374
-# calls and 6,486 misses, most of them presses of its 96 witnesses that no
-# other text shares, which no cache size would serve.
+# (metric._Search).  words.act_runs calls cached_press directly for spans
+# below FRAME_MIN_SPAN, the first of the three routes of the module
+# docstring, so the rule holds by its span test.  The presses of the band
+# (FRAME_SPANS, below) that words.act_runs and metric.witness_word make
+# are frame ints and never reach the cache.  As sets they would take the
+# hexagon benchmark 25,374 calls and 6,486 misses, most of them presses of
+# its 96 witnesses that no other text shares, which no cache size would
+# serve.
 _CACHED_PRESSES = 1024
-_cached_press = lru_cache(maxsize=_CACHED_PRESSES)(_build_press)
+cached_press = lru_cache(maxsize=_CACHED_PRESSES)(_build_press)
 # press_effect reports and clears its cache as an lru_cache function does.
-press_effect.cache_info = _cached_press.cache_info
-press_effect.cache_clear = _cached_press.cache_clear
+press_effect.cache_info = cached_press.cache_info
+press_effect.cache_clear = cached_press.cache_clear
 
 
 # The frame: inside the band FRAME_MIN_SPAN <= |p| + |q| < FRAME a press is

@@ -600,24 +600,8 @@ def _ball(radius: int, memory_limit_mb: int | None) -> _Search:
     return _Search(_IDENTITY, _ball_budget(radius, memory_limit_mb))
 
 
-def _lamp_bit(lamp: Pos) -> int:
-    """The bit of a lampstand lamp in a packed key, zigzag over its half-axes.
-
-    (0, j) is bit 3j for j >= 0 and bit -3j - 2 for j < 0, and (-i, 0) is
-    bit 3i - 1, so a key is as wide as its farthest lamp, not its ball.
-    """
-    p, q = lamp
-    if p:
-        return -3 * p - 1
-    return 3 * q if q >= 0 else -3 * q - 2
-
-
-def _lamp_bits(lamps: LampSet) -> int:
-    return sum(1 << _lamp_bit(lamp) for lamp in lamps)
-
-
 def _bit_lamp(bit: int) -> Pos:
-    """The lamp of ``bit``: the inverse of :func:`_lamp_bit`."""
+    """The lamp of ``bit`` in a packed key: the inverse of :meth:`_PackedBall.key`."""
     j, side = divmod(bit, 3)
     if side == 0:
         return (0, j)
@@ -627,8 +611,8 @@ def _bit_lamp(bit: int) -> Pos:
 class _PackedBall:
     """The ball B(k) about the identity, grown a layer at a time, an int a state.
 
-    The state (lamps, (p, q)) is the key ``bits << width | index``: ``bits``
-    sets the :func:`_lamp_bit` of each lamp, and the position index
+    The state (lamps, (p, q)) is the key ``bits << width | index``
+    (:meth:`key`): ``bits`` sets one bit for each lamp, and the position index
     (p + k)(2k + 1) + (q + k) takes ``width`` bits.  Prepending a move
     toggles one press of the state's row, at its position plus an offset of
     ``_PRESSES`` (as in :meth:`_Search.grow`), and steps by one of
@@ -667,10 +651,33 @@ class _PackedBall:
         self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
         self.masks: dict[Pos, int] = {}
 
+    def key(self, lamps, pos: Pos) -> int:
+        """The key of the state (``lamps``, ``pos``), or -1, the key of no state.
+
+        Lamp (0, j) is bit 3j for j >= 0 and bit -3j - 2 for j < 0, and
+        (-i, 0) is bit 3i - 1, a zigzag over the half-axes, so a key is as
+        wide as its farthest lamp, not its ball.  A position outside the
+        window |p|, |q| <= k, or a lamp off the lampstand, gives -1: no
+        index wraps onto another and no lamp aliases another, so comparing
+        keys is as strict as comparing :class:`Element`\\ s.
+        """
+        p, q = pos
+        k = self.k
+        if not (-k <= p <= k and -k <= q <= k):
+            return -1
+        bits = 0
+        for i, j in lamps:
+            if not i:
+                bits |= 1 << (3 * j if j >= 0 else -3 * j - 2)
+            elif not j and i < 0:
+                bits |= 1 << -3 * i - 1
+            else:
+                return -1
+        return bits << self.width | (p + k) * self.side + q + k
+
     def pack(self, g: Element) -> int:
-        """The key of ``g``, which must lie in the ball's window."""
-        p, q = g.pos
-        return _lamp_bits(g.lamps) << self.width | (p + self.k) * self.side + q + self.k
+        """The key of ``g`` (:meth:`key`)."""
+        return self.key(*g)
 
     def unpack(self, key: int) -> Element:
         """The :class:`Element` of a key the ball has recorded."""
@@ -700,7 +707,8 @@ class _PackedBall:
         at = [(p + dp, q + dq) for dp, dq in _PRESSES]
         budget.spend(_PACKED_ROW_COST)
         for press, effect in budget.presses(at, masks):
-            masks[press] = mask = _lamp_bits(effect) << self.width
+            # The key at index 0, the window's corner, is the press's mask.
+            masks[press] = mask = self.key(effect, (-self.k, -self.k))
             budget.spend(getsizeof(mask))
         lit = [masks[press] for press in at]
         lit.append(0)
@@ -1054,9 +1062,9 @@ def certify_depth(
     loop that grows the packed ball a layer at a time
     (:meth:`_PackedBall.grow`) and bounds each new layer in its order.
     Each key becomes an :class:`Element` (:meth:`_PackedBall.unpack`) only
-    where the proof needs one: each b and parent whose translate is
-    replayed by :func:`act_runs` or measured by :func:`exact_distance`,
-    and the failure.  The upper side of each bound is a
+    where the proof needs one: each parent, whose translate is replayed
+    from or measured, each b measured by :func:`exact_distance`, the
+    failure, and the b an error names.  The upper side of each bound is a
     replayed word.  For b = 1 it is the defining word of :func:`make_gn`,
     which must replay to u in 6n letters, while :func:`halfplane_bound`
     must give 6n for the lower side; that proves |u| = 6n, which is why
@@ -1073,7 +1081,11 @@ def certify_depth(
     The involution check proves that u sits at the origin (u*u = 1 forces
     2 * u.pos = 0).  So ``multiply(b, u)`` re-presses b's lamps where they
     lie, on the lampstand, each press toggling just its own lamp: b*u is
-    b's lamps XOR u's, at b's position, one XOR per translate.
+    b's lamps XOR u's, at b's position, one XOR per translate.  So a
+    replayed translate is checked against b's key instead: its lamps XOR
+    u's, with its position, must pack (:meth:`_PackedBall.key`) to the key
+    of b, a comparison as strict as that of :class:`Element`\\ s, and u
+    itself is never packed.
 
     The first b, in breadth-first order, whose translate is longer than 6n
     fails the certificate; since :func:`exact_distance` raises on its
@@ -1105,8 +1117,6 @@ def certify_depth(
         last = -1
         for key, origin in zip(layer, origins):
             i, m = divmod(origin, width)
-            b = ball.unpack(key)
-            translate = Element(b.lamps ^ lit, b.pos)
             if i != last:
                 # Recomputed per parent, so the frontier holds no translates.
                 lamps, pos = ball.unpack(parents[i])
@@ -1116,10 +1126,14 @@ def certify_depth(
                     bound = exact_distance(parent_translate, radius, memory_limit_mb)
                 last = i
             if bound < radius:
-                if act_runs(_MOVE_RUNS[m], parent_translate) != translate:
+                lamps, pos = act_runs(_MOVE_RUNS[m], parent_translate)
+                if ball.key(lamps ^ lit, pos) != key:
+                    b = ball.unpack(key)
                     raise RuntimeError(f"a one-letter extension does not replay to {b}")
                 bounds.append(bound + 1)
             else:
+                b = ball.unpack(key)
+                translate = Element(b.lamps ^ lit, b.pos)
                 try:
                     bounds.append(exact_distance(translate, radius, memory_limit_mb))
                 except RadiusExceeded:

@@ -21,8 +21,9 @@ one word evaluator, folds the runs: a run that presses nothing moves by
 its count at once, ``a^k`` presses once when k is odd and not at all when
 it is even, ``ata^k`` and ``asa^k`` press at their two ends, and any other
 run presses a segment of its line, as one closed form when it is long.
-Presses in the band of spans ``core.FRAME_SPANS`` fold as ints in a fixed
-frame, the others as lamp sets.
+Each press takes one of the three routes by span that :mod:`lampgrid.core`
+states: the frame's presses fold as ints in a fixed frame, the others as
+lamp sets.
 
 Inverses are free: moves are drawn from A together with the inverses of
 its letters.  Since ``a`` is an involution this gives 17 distinct moves,
@@ -39,10 +40,12 @@ from typing import NamedTuple
 
 from .core import (
     COORD_LIMIT,
-    FRAME_SPANS,
+    FRAME,
+    FRAME_MIN_SPAN,
     PRESS_LAMP_LIMIT,
     Element,
     Pos,
+    cached_press,
     frame_lamps,
     frame_press,
     identity,
@@ -319,7 +322,8 @@ def act_runs(runs, state: Element) -> Element:
     so for presses that large it costs no more from three letters on, and
     its gain grows with the count.  The runs are folded on a mutable lamp
     set, two frame ints and a position; ``state`` itself is left as it
-    was.  A press in the band ``FRAME_SPANS`` XORs into the frame ints
+    was.  Each press takes its route by span, as :mod:`lampgrid.core`
+    states, tested once: a frame press XORs into the frame ints
     (:func:`~lampgrid.core.frame_press`), any other press and every
     segment into the set, and the frame's lamps join the set once, at the
     end.  After each run that presses, at most ``RUN_LAMP_LIMIT`` lamps
@@ -362,7 +366,9 @@ def act_runs(runs, state: Element) -> Element:
         q += count * dq
         for pos in at:
             span = abs(pos[0]) + abs(pos[1])
-            if span in FRAME_SPANS:
+            if span < FRAME_MIN_SPAN:
+                lamps ^= cached_press(pos)
+            elif span < FRAME:
                 s_bits, t_bits = frame_press(pos)
                 s_axis ^= s_bits
                 t_axis ^= t_bits

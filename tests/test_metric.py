@@ -788,10 +788,12 @@ class TestBallAndSpheres:
 
     @given(st.data())
     def test_packed_keys_round_trip(self, data):
-        # Elements in the window of B(r): |p|, |q| <= r, t-axis lamps in
-        # -r..r and s-axis lamps in -r..-1.
+        # Positions in the window of B(r), |p|, |q| <= r, and lampstand
+        # lamps out to 3r + 3, past the window, as the anchor's are when
+        # n > r and as a press's mask is.
         r = data.draw(st.integers(0, 40))
-        stand = [(0, j) for j in range(-r, r + 1)] + [(-i, 0) for i in range(1, r + 1)]
+        far = 3 * r + 3
+        stand = [(0, j) for j in range(-far, far + 1)] + [(-i, 0) for i in range(1, far + 1)]
         coord = st.integers(-r, r)
         element = st.builds(
             lambda lamps, p, q: Element(frozenset(lamps), (p, q)),
@@ -799,9 +801,28 @@ class TestBallAndSpheres:
         )
         elements = data.draw(st.lists(element, min_size=1, max_size=8))
         ball = metric._PackedBall(r, None)
-        keys = [ball.pack(g) for g in elements]
+        keys = [ball.key(*g) for g in elements]
+        assert keys == [ball.pack(g) for g in elements]
+        for g, key in zip(elements, keys):
+            # The zigzag: (0, j) at 3j or -3j - 2, (-i, 0) at 3i - 1.
+            bits = sum(
+                1 << (-3 * i - 1 if i else 3 * j if j >= 0 else -3 * j - 2) for i, j in g.lamps
+            )
+            index = (g.pos[0] + r) * (2 * r + 1) + g.pos[1] + r
+            assert key == bits << ball.width | index
         assert [ball.unpack(key) for key in keys] == elements
         assert len(set(keys)) == len(set(elements))
+
+    def test_no_state_outside_the_window_or_off_the_lampstand_has_a_key(self):
+        # (p, k + 1) would wrap onto the index of (p + 1, -k), and (-1, 5)
+        # onto the bit of (-1, 0); each has the key -1, which no state has.
+        ball = metric._PackedBall(2, None)
+        assert ball.key(frozenset(), (0, 3)) == -1 != ball.key(frozenset(), (1, -2))
+        for pos in ((3, 0), (-3, 0), (0, -3), (2, 3)):
+            assert ball.key(frozenset(), pos) == -1
+        for lamp in ((-1, 5), (-1, -5), (1, 0), (3, 2)):
+            assert ball.key({lamp}, (0, 0)) == -1
+        assert ball.key({(-1, 0)}, (0, 0)) >= 0
 
 
 # States near +/-2^31 where every press of an expansion toggles few lamps.
@@ -1001,6 +1022,68 @@ class TestCertifyDepth:
         monkeypatch.setattr(metric, "act_runs", lambda runs, state: state)
         with pytest.raises(RuntimeError, match="does not replay"):
             certify_depth(1, 2)
+
+    def test_a_ball_row_that_does_not_replay_is_refused(self, monkeypatch):
+        # Each row built for layer 2 gets the lamp (0, 3) in its first
+        # press's mask.  No state of B(2) lights it, so each child that mask
+        # makes is new, and no letter replays to its key.
+        build = metric._PackedBall._row
+
+        def corrupt(ball, index):
+            row = build(ball, index)
+            if ball.radius == 2:
+                m = next(m for m, (mask, _) in enumerate(row) if mask)
+                mask, delta = row[m]
+                mask ^= ball.key({(0, 3)}, (-ball.k, -ball.k))
+                ball.rows[index] = row = row[:m] + ((mask, delta),) + row[m + 1:]
+            return row
+
+        monkeypatch.setattr(metric._PackedBall, "_row", corrupt)
+        with pytest.raises(RuntimeError, match="does not replay"):
+            certify_depth(1, 2)
+
+    @staticmethod
+    def forge_replays(monkeypatch, forge):
+        """Have act_runs return ``forge(lamps, pos)`` where that is not None;
+        return the list of the replays it forged."""
+        forged, replay = [], metric.act_runs
+
+        def forging(runs, state):
+            g = replay(runs, state)
+            fake = forge(*g)
+            if fake is None:
+                return g
+            forged.append(fake)
+            return fake
+
+        monkeypatch.setattr(metric, "act_runs", forging)
+        return forged
+
+    def test_a_replayed_lamp_off_the_lampstand_is_refused(self, monkeypatch):
+        # (-1, 5) for (-1, 0), which a zigzag of the s-axis alone would
+        # give the same bit.  The anchor of n = 2 lights neither.
+        forged = self.forge_replays(
+            monkeypatch,
+            lambda lamps, pos: Element(lamps ^ {(-1, 0), (-1, 5)}, pos)
+            if (-1, 0) in lamps
+            else None,
+        )
+        with pytest.raises(RuntimeError, match="does not replay"):
+            certify_depth(2, 2)
+        assert len(forged) == 1
+
+    def test_a_replayed_position_past_the_window_is_refused(self, monkeypatch):
+        # (p - 1, 3) for (p, -2): past the edge of B(2)'s window, whose
+        # index would wrap onto that of (p, -2).
+        forged = self.forge_replays(
+            monkeypatch,
+            lambda lamps, pos: Element(lamps, (pos[0] - 1, 3))
+            if pos[1] == -2 and pos[0] > -2
+            else None,
+        )
+        with pytest.raises(RuntimeError, match="does not replay"):
+            certify_depth(2, 2)
+        assert len(forged) == 1
 
     def test_a_failure_word_that_does_not_replay_is_refused(self, monkeypatch):
         # A witness for s^3 one letter short: the printed word would claim
