@@ -10,7 +10,8 @@ It prints sphere sizes, depth certificates as ``certify-depth n n --json``
 prints them, and the failed ones of ``certify-depth n 2n+1 --json``, one
 past the anchor's depth, so both verdicts are pinned; the witness word
 and exact distance of every element of a ball, in the ball's order, and
-of random elements of larger hexagons, where the box tour is wider; the
+of random elements of larger hexagons, where the box tour is wider,
+up to n = 2000 in the full run; the
 stdout, stderr and exit code of the CLI's word commands (``render``
 included) on a fixed list of words in both alphabets, malformed ones
 included, and of ``tour`` and ``spheres`` on a few numbers.  ``--quick``
@@ -103,7 +104,7 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true", help="smaller radius and anchors")
     args = parser.parse_args()
     sphere_radius, max_n, max_failed_n, ball_radius, hexagons = (
-        (6, 4, 1, 3, (12, 40)) if args.quick else (8, 6, 2, 5, (12, 48))
+        (6, 4, 1, 3, (12, 40)) if args.quick else (8, 6, 2, 5, (12, 48, 400, 2000))
     )
 
     print(f"# sphere sizes r <= {sphere_radius}")
@@ -123,7 +124,9 @@ def main() -> int:
 
     print(f"# random_element(n, seed), n in {hexagons}: witness_word | exact_distance")
     for n in hexagons:
-        # At n = 12, 40 and 48 these seeds give every sign case of g.pos.
+        # At n = 12, 40 and 48 these seeds give every sign case of g.pos.  At
+        # n = 400 and 2000 all but three of the boxes have F + D + P + Q past
+        # 1024, up to 6000.
         for seed in range(24):
             g = random_element(n, seed)
             print(f"{format_word(witness_word(g))} | {exact_distance(g, 6 * n)}")

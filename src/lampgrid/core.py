@@ -31,8 +31,8 @@ evaluator ``words.act_runs`` picks a press's route once:
 * from ``FRAME`` on, :func:`press_effect`, which builds it on each call.
 
 :func:`press_effect` itself serves every span below ``FRAME`` from the
-cache; the witness solve ``metric.witness_word`` takes the frame when its
-whole walk lies in the band ``FRAME_SPANS``.
+cache.  The witness solve ``metric.witness_word`` presses through none of
+them: it solves each sweep of its tour as GF(2) arithmetic on two ints.
 """
 
 from __future__ import annotations
@@ -171,21 +171,22 @@ def _build_press(pos: Pos) -> LampSet:
 # often:
 #
 #     job                      calls   4096 entries   1024 entries
-#     certify_depth(6, 6)     15,254            113            113
-#     certify_depth(4, 9)     70,830            200            200
-#     certify_depth(5, 10)   513,041            251            251
-#     distance benchmark         474             21             21
+#     certify_depth(6, 6)     12,759            113            113
+#     certify_depth(4, 9)     66,043            200            200
+#     certify_depth(5, 10)   440,094            251            251
+#     distance benchmark         309             21             21
 #     hexagon benchmark        3,243            250            250
 #
 # Each search makes each of its presses once and keeps them itself
-# (metric._Search).  words.act_runs calls cached_press directly for spans
-# below FRAME_MIN_SPAN, the first of the three routes of the module
-# docstring, so the rule holds by its span test.  The presses of the band
-# (FRAME_SPANS, below) that words.act_runs and metric.witness_word make
-# are frame ints and never reach the cache.  As sets they would take the
-# hexagon benchmark 25,374 calls and 6,486 misses, most of them presses of
-# its 96 witnesses that no other text shares, which no cache size would
-# serve.
+# (metric._Search), and the witness solve (metric.witness_word) presses
+# nothing: it solves in GF(2) arithmetic on ints.  words.act_runs calls
+# cached_press directly for spans below FRAME_MIN_SPAN, the first of the
+# three routes of the module docstring, so the rule holds by its span
+# test.  The presses of the band (below) that words.act_runs makes are
+# frame ints and never reach the cache.  As sets they would take the
+# hexagon benchmark 18,277 calls and 6,466 misses (4,775 at 4096 entries),
+# most of them presses of its 96 witness words that no other text shares,
+# which no cache size would serve.
 _CACHED_PRESSES = 1024
 cached_press = lru_cache(maxsize=_CACHED_PRESSES)(_build_press)
 # press_effect reports and clears its cache as an lru_cache function does.
@@ -214,13 +215,9 @@ press_effect.cache_clear = cached_press.cache_clear
 # 8, 16, 24 and 32.  Below span 24 the presses are near the origin, where
 # the 1,105 positions with |p| + |q| < 24 about fill the cache's 1024
 # entries, so a job pressing there again and again, as certify_depth and
-# the distance benchmark do, finds them cached.  witness_word crosses there
-# too: on batches of 60 random_element(n) the frame took 3% more at a median
-# box span of 24 and 4% less at 28.
+# the distance benchmark do, finds them cached.
 FRAME = PRESS_LAMP_LIMIT // _CACHED_PRESSES
 FRAME_MIN_SPAN = 24
-# The band, as spans |p| + |q|: `span in FRAME_SPANS` is one C-level test.
-FRAME_SPANS = range(FRAME_MIN_SPAN, FRAME)
 
 
 def _submasks(n: int, count: int) -> int:
@@ -264,23 +261,12 @@ def frame_press(pos: Pos) -> tuple[int, int]:
     return s_axis, _submasks(degree, degree + 1) << (top - degree + FRAME) >> FRAME << FRAME
 
 
-def frame_bits(lamps) -> tuple[int, int]:
-    """The (s-axis, t-axis) frame ints of lampstand ``lamps`` within the frame."""
-    s_axis = t_axis = 0
-    for i, j in lamps:
-        if i:
-            s_axis |= 1 << (i + FRAME)
-        else:
-            t_axis |= 1 << (j + FRAME)
-    return s_axis, t_axis
-
-
 # bin() digits as the bytes 0 and 1, for itertools.compress.
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _frame_offsets(bits: int) -> list[int]:
-    """The offsets i - FRAME of the set bits i of ``bits``, in increasing order.
+def bit_offsets(bits: int, origin: int = 0) -> list[int]:
+    """The offsets i - ``origin`` of the set bits i of ``bits``, in increasing order.
 
     Only the digits from the lowest set bit to the highest are scanned,
     and the scan runs in C: one ``bin`` and one ``compress``.
@@ -289,14 +275,15 @@ def _frame_offsets(bits: int) -> list[int]:
         return []
     low = (bits & -bits).bit_length() - 1
     digits = bin(bits >> low)[:1:-1].encode().translate(_DIGITS)
-    return list(compress(range(low - FRAME, bits.bit_length() - FRAME), digits))
+    return list(compress(range(low - origin, bits.bit_length() - origin), digits))
 
 
 def frame_lamps(s_axis: int, t_axis: int) -> list[Pos]:
-    """The lamps of the frame ints ``s_axis`` and ``t_axis``: the inverse of
-    :func:`frame_bits`."""
-    lamps = [(i, 0) for i in _frame_offsets(s_axis)]
-    lamps += [(0, j) for j in _frame_offsets(t_axis)]
+    """The lamps of the frame ints ``s_axis`` and ``t_axis``: lamp (i, 0) for
+    each bit i + FRAME of ``s_axis``, lamp (0, j) for each bit j + FRAME of
+    ``t_axis``."""
+    lamps = [(i, 0) for i in bit_offsets(s_axis, FRAME)]
+    lamps += [(0, j) for j in bit_offsets(t_axis, FRAME)]
     return lamps
 
 

@@ -37,19 +37,16 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import asdict, dataclass
-from itertools import chain, product
+from itertools import product, repeat
+from operator import neg
 from sys import getsizeof
 
 from .core import (
-    FRAME,
-    FRAME_SPANS,
     Element,
     LampSet,
     Pos,
+    bit_offsets,
     check_press,
-    frame_bits,
-    frame_lamps,
-    frame_press,
     identity,
     multiply,
     press_effect,
@@ -91,23 +88,25 @@ _STATE_COST = getsizeof(identity()) + _SLOT_COST + _POINTER_COST
 _ROW_ITEM_COST = array("q").itemsize
 _BOUND_COST = 2 * _ROW_ITEM_COST + _ROW_ITEM_COST // 8
 # A press of a witness holds its position pair and coordinates, a slot in
-# each of the three press sets of the solve and the fuser, a stop pair on
+# each of the press lists of the solve and the fuser's set, a stop pair on
 # its leg and up to two runs; on replay a lampstand press caches its
-# one-lamp effect.
+# one-lamp effect.  The lamps the solve leaves lit are presses too.
 _PRESS_COST = (
     getsizeof(frozenset({(0, 0)})) + 4 * _PAIR_COST + 3 * _INT_COST + 4 * _SLOT_COST
 )
-# The solve keeps only its presses, but it visits every walked vertex, so a
-# walk is charged one pointer per vertex before it is walked: a walk at the
-# input limit (2^31 vertices, minutes of solving) meets the default cap at
-# once, while an anchor's walk of 6n vertices fits it for n up to 4*10^7.
+# The solve visits no vertex, but it holds ints of up to F + D + P + Q
+# bits, the box's span, and while it reads more than 64 presses off a line
+# (_line), two strings of a byte per bit of the line: on g_(10^5) and
+# g_(10^6), 0.67 bytes a bit of span at its traced peak.  Its time is some
+# tens of shifts and XORs of those ints.  A walk has at least span
+# vertices, and it is charged a pointer per vertex before the solve
+# starts, which pays for both: a walk at the input limit (2^31 vertices)
+# meets the default cap at once, while an anchor's walk of 6n vertices
+# fits it for n up to 4*10^7.
 _WALK_COST = _POINTER_COST
-# Frames, generators, the path and the word of one witness: about 3 kB by
-# tracemalloc, rounded up.
+# Frames, the path and the word of one witness on a small box: about 1 kB
+# by tracemalloc, rounded up with room.
 _SOLVE_COST = 4096
-# A solve in the frame (core.FRAME) holds its two frame ints, a press's two
-# and the shifted copy a pivot test makes, none wider than 2 * FRAME bits.
-_FRAME_COST = 5 * getsizeof(1 << 2 * FRAME)
 # A built press holds its frozenset, by getsizeof, and a pair and an int per
 # lamp.  While it is built it also holds a list pointer per lamp, and its
 # set's table moves to a larger one as it fills (_table_entries): at most
@@ -785,33 +784,192 @@ def sphere_sizes(
     return counts
 
 
-def _plan(g: Element) -> tuple[list[Pos], chain[tuple[Pos, Pos]], int]:
-    """The box tour of :func:`witness_word`: its walk, its solving order and
-    its box's F + D + P + Q.
+def _plan(g: Element) -> tuple[list[Pos], tuple[int, int, int, int]]:
+    """The box tour of :func:`witness_word`: its walk and its box (F, D, P, Q).
 
     The walk is the list of its corners, from the origin to ``g.pos``
-    (:func:`_walk_to`).  The order is the (vertex, pivot) pairs of the
-    sweeps that the signs of ``g.pos`` select, sweep after sweep; the proof
-    that it works is :func:`witness_word`'s.  Every walked vertex lies in
-    the box of :func:`_box`, so its |p| + |q| is at most F + D + P + Q.
+    (:func:`_walk_to`), through the corners of the box of :func:`_box` that
+    the signs of ``g.pos`` pick.  Every walked vertex lies in the box, so
+    its |p| + |q| is at most F + D + P + Q.
     """
-    F, D, P, Q = _box(g)
+    F, D, P, Q = box = _box(g)
     ep, eq = g.pos
-    # The low column settles the t-axis below base, the other sweeps above.
-    base = -D if eq >= 0 else 0
     if ep >= 0:
         corners = [(-F, 0), (-F, -D), (P, Q)] if eq >= 0 else [(-F, 0), (P, Q), (P, -D)]
-        x, sweeps = P, (
-            (((P, q), (0, P + q)) for q in range(Q, base - 1, -1)),
-            (((p, base), (0, p + base)) for p in range(P - 1, -1, -1)),
-        )
     else:
         corners = [(0, -D), (0, Q), (-F, Q)] if eq >= 0 else [(0, Q), (-F, -D)]
-        x, sweeps = -F, ((((-k, Q), (-k, 0)) for k in range(F, 0, -1)),)
     path = [(0, 0)]
     for corner in corners + [g.pos]:
         _walk_to(path, corner)
-    return path, chain((((x, q), (0, q)) for q in range(-D, base)), *sweeps), F + D + P + Q
+    return path, box
+
+
+# GF(2) polynomials as ints, bit i the coefficient of x^i.  Each helper is
+# O(log w) shifts and XORs of ints of about w bits, w its width.
+
+
+def _times(a: int, n: int) -> int:
+    """a (1+x)^n for n >= 0, one shift-XOR a bit of n: (1+x)^(2^b) = 1 + x^(2^b)."""
+    while n:
+        low = n & -n
+        a ^= a << low
+        n ^= low
+    return a
+
+
+def _times_inverse(a: int, n: int, w: int) -> int:
+    """a (1+x)^-n mod x^w, for n >= 0.
+
+    Once 2^K >= w, (1+x)^(2^K) = 1 + x^(2^K) is 1 mod x^w, so there
+    (1+x)^-n is (1+x)^m with m = -n mod 2^K.
+    """
+    mask = (1 << w) - 1
+    return _times(a & mask, -n % (1 << (w - 1).bit_length())) & mask
+
+
+# Each byte with its 8 bits reversed.
+_REVERSED_BYTES = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
+
+
+def _reverse(a: int, w: int) -> int:
+    """The w low bits of ``a``, which has no others, in reverse order."""
+    size = (w + 7) // 8
+    reverse = a.to_bytes(size, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(reverse, "big") >> (8 * size - w)
+
+
+def _floor_divide(a: int, n: int) -> int:
+    """The quotient of ``a`` by (1+x)^n, for n >= 0.
+
+    It is the part of degree >= 0 of a x^-n (1 + 1/x)^-n, a series in 1/x
+    whose terms past x^-w, w = (bit length of a) - n, fall below degree 0.
+    So with 2^K >= w, (1 + 1/x)^-n is (1 + 1/x)^m there, m = -n mod 2^K,
+    one shift-XOR down a bit of m; a term shifted out below degree 0 could
+    only make lower ones.
+    """
+    w = a.bit_length() - n
+    if w <= 0:
+        return 0
+    m = -n % (1 << (w - 1).bit_length())
+    while m:
+        low = m & -m
+        a ^= a >> low
+        m ^= low
+    return a >> n
+
+
+def _superset_sums(a: int, w: int) -> int:
+    """a(1+y) for ``a`` below 2^w: bit i is the XOR of a's bits k with k & i == i.
+
+    (1+y)^k is the sum of y^i over the submasks i of k (Lucas), so the
+    Taylor shift sums over supersets: one butterfly per bit of the index.
+    """
+    half = 1 << (w - 1).bit_length() >> 1 if w > 1 else 0
+    low = (1 << half) - 1  # the indices i < 2 * half with i & half == 0
+    while half:
+        a ^= (a >> half) & low
+        half >>= 1
+        low ^= low << half
+    return a
+
+
+def _subset_sums(a: int, w: int) -> int:
+    """For ``a`` below 2^w: bit i < w is the XOR of a's bits k with k & i == k."""
+    half = 1 << (w - 1).bit_length() >> 1 if w > 1 else 0
+    low = (1 << half) - 1
+    while half:
+        a ^= (a & low) << half
+        half >>= 1
+        low ^= low << half
+    return a & ((1 << w) - 1)
+
+
+def _line(bits: int, start: Pos, step: Pos) -> list[Pos]:
+    """The vertices start + k * step for the set bits k of ``bits``, where
+    ``step`` is (0, 1), (1, 0) or (-1, 0).
+
+    Up to 64 set bits are read one by one, each in a few operations on
+    ``bits``; more by :func:`~lampgrid.core.bit_offsets`, one scan of its
+    binary digits, so the cost stays linear in the int's width.
+    """
+    x, y = start
+    dx, dy = step
+    if bits.bit_count() > 64:
+        if dy:
+            return list(zip(repeat(x), bit_offsets(bits, -y)))
+        offsets = bit_offsets(bits, -x) if dx > 0 else map(neg, bit_offsets(bits, x))
+        return list(zip(offsets, repeat(y)))
+    vertices = []
+    while bits:
+        low = bits & -bits
+        k = low.bit_length() - 1
+        vertices.append((x + k * dx, y + k * dy))
+        bits ^= low
+    return vertices
+
+
+def _solve(
+    g: Element, box: tuple[int, int, int, int], budget: _Budget
+) -> tuple[list[Pos], list[Pos]]:
+    """The presses of :func:`witness_word`'s sweeps, and the lamps left lit.
+
+    The presses of a sweep share a line, so each sweep's presses are one
+    int, bit k the press k steps along the line (:func:`_line`), which
+    :func:`witness_word` solves in closed form.  They, and the lamps left,
+    are charged ``_PRESS_COST`` each from the ints' bit counts before any
+    position is built.
+    """
+    F, D, P, Q = box
+    ep, eq = g.pos
+    top = P + Q
+    # S holds lamp (-m, 0) at bit m, T lamp (0, j) at bit j + D.  A few
+    # lamps are ORed in; more are set in bytes first, which keeps the cost
+    # linear in the box's width.
+    if len(g.lamps) <= 64:
+        S = T = 0
+        for p, q in g.lamps:
+            if p:
+                S |= 1 << -p
+            else:
+                T |= 1 << (q + D)
+    else:
+        s_bytes, t_bytes = bytearray(F // 8 + 1), bytearray((D + top) // 8 + 1)
+        for p, q in g.lamps:
+            if p:
+                s_bytes[-p >> 3] |= 1 << (-p & 7)
+            else:
+                q += D
+                t_bytes[q >> 3] |= 1 << (q & 7)
+        S, T = int.from_bytes(s_bytes, "little"), int.from_bytes(t_bytes, "little")
+    base = -D if eq >= 0 else 0
+    lines = []
+    if eq < 0:
+        low = T & ((1 << D) - 1)
+        if ep >= 0:
+            presses = _times_inverse(low, P, D)
+            T ^= _times(presses, P)
+            lines.append((presses, (P, -D), (0, 1)))
+        else:
+            presses = _times(low, F) & ((1 << D) - 1)
+            T ^= low
+            S ^= _reverse(_times_inverse(_superset_sums(presses, D), D, F), F) << 1
+            lines.append((presses, (-F, -D), (0, 1)))
+    if ep >= 0:
+        high = T >> (base + D)
+        presses = _floor_divide(high, P)
+        lines.append((presses, (P, base), (0, 1)))
+        lines.append((_superset_sums(high ^ _times(presses, P), P), (0, base), (1, 0)))
+        residual = (S, (0, 0), (-1, 0))
+    else:
+        presses = _floor_divide(S << Q, Q) >> 1
+        lines.append((presses, (-1, Q), (-1, 0)))
+        T ^= _reverse(_subset_sums(presses & ((1 << Q) - 1), Q), Q) << D
+        residual = (T, (0, -D), (0, 1))
+    budget.spend(_PRESS_COST * sum([bits.bit_count() for bits, _, _ in lines + [residual]]))
+    presses = []
+    for line in lines:
+        presses += _line(*line)
+    return presses, _line(*residual)
 
 
 def witness_word(g: Element, budget: _Budget | None = None) -> Word:
@@ -828,23 +986,11 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
     the paper's 6n upper bound follows from the formula.  The word is not
     replayed here; :func:`exact_distance` replays it.  ``budget`` (default:
     a fresh one at ``DEFAULT_MEMORY_LIMIT_MB``) is charged what the solve
-    holds: each press with its effect as it is made, and the lamps it
-    copies.  Before the walk starts the budget is also charged one pointer
-    per walked vertex, since the solve visits them all: a walk too long to
-    solve fails at once.
+    holds, before it holds it: first the walk, ``_WALK_COST`` a walked
+    vertex, which bounds the solve's ints and its time, then each press
+    (:func:`_solve`).
 
-    Every walked vertex has |p| + |q| <= F + D + P + Q, the box's span
-    (:func:`_plan`).  When the span is in the band ``FRAME_SPANS`` the
-    residual lamps are two frame ints (:func:`~lampgrid.core.frame_bits`):
-    each pivot test is a bit test, each press XORs the two ints of
-    :func:`~lampgrid.core.frame_press`, the frame is charged once
-    (``_FRAME_COST``), and the residual is read off the frame at the end.
-    Outside the band the residual is a lamp set, and each press is built
-    by :meth:`_Budget.press`, as a search's presses are: one that could
-    overrun the cap is sized and charged for its build, so the cap is met
-    before it is built, and refunded to what it holds once built.
-
-    The presses are solved by back-substitution, and its order is the proof
+    The presses are those of back-substitution, and its order is the proof
     that they exist.  Let (-F, -D) and (P, Q) be the corners of the box.
     The lamps of ``g`` lie on the s-axis at (-F..-1, 0) and on the t-axis
     at (0, -D..P+Q).  A press at (p, q) is x^q (1+x)^p
@@ -888,43 +1034,56 @@ def witness_word(g: Element, budget: _Budget | None = None) -> Word:
 
     So e_p >= 0 runs sweeps 1 (if e_q < 0), 2 and 3, whose pivots cover
     the t-axis from -D to P+Q; e_p < 0 runs sweeps 1 (if e_q < 0) and 4,
-    whose pivots cover the s-axis and the t-axis below base.  The solve is
-    one loop: starting from ``g.lamps``, press each vertex whose pivot is
-    lit and toggle its effect.  No press ever toggles a pivot that an
-    earlier press has settled, so every pivot ends dark.  What is left lies
-    on the s-axis when e_p >= 0, walked out to -F, and on the t-axis from
-    base to Q when e_p < 0, walked from base up to Q: walked lampstand
-    vertices, each its own press.
+    whose pivots cover the s-axis and the t-axis below base.
+    Back-substitution presses, in this order, each vertex whose pivot is
+    lit.  No press toggles a pivot settled before it, so every pivot ends
+    dark.  What is left lies on the s-axis when e_p >= 0, walked out to
+    -F, and on the t-axis from base to Q when e_p < 0, walked from base up
+    to Q: walked lampstand vertices, each its own press.
+
+    Each sweep is triangular: ordered as above, each of its presses lights
+    its own pivot and no earlier one, so exactly one set of its vertices
+    clears its pivots, given what the earlier sweeps left, and
+    back-substitution finds that set.  So does any other solution of the
+    same equations, and :func:`_solve` solves them as GF(2) arithmetic on
+    two ints, visiting no vertex: S with lamp (-m, 0) at bit m, and T with
+    lamp (0, j) at bit j + D.  Write rev_w for reversing the low w bits,
+    L = T mod x^D, and y = 1 + x, so that lamp (-i, 0) is y^-i.  Each
+    sweep's presses are an int C, bit k the k-th vertex along its line:
+
+    1. e_p >= 0: the presses x^(k-D) (1+x)^P must clear L, so
+       C = L (1+x)^-P mod x^D, and T ^= C (1+x)^P.  e_p < 0: the press at
+       (-F, k-D) is x^(k-D) y^-F.  Its t-axis lamps, the expansion at 0
+       below degree 0, add up to L when C = L (1+x)^F mod x^D, so T ^= L.
+       Its s-axis lamps, the principal part at y = 0, are the terms
+       y^(i-F), i < F, of (1+y)^(k-D) y^-F; over C they add up to the
+       terms below y^0 of y^-F (1+y)^-D C(1+y), and C(1+y) is the
+       superset sums of C's bits (Lucas).  So S ^= rev_F(superset sums
+       times (1+y)^-D mod y^F), shifted to bit 1.
+    2. C and R are the quotient and remainder of T >> (base + D) by
+       (1+x)^P: the presses x^(base+k) (1+x)^P, top first, are long
+       division (:func:`_floor_divide`).
+    3. R = sum of C_p (1+x)^p = C(y), so C = R(1+y), the superset sums of
+       R's bits.
+    4. The press at (-k, Q) lights the lamps (i - k, 0), i < k, with
+       C(Q, i) odd: with z = 1/y, so that lamp (-m, 0) is z^m, the terms
+       of degree >= 1 of z^k (1 + 1/z)^Q.  So C, bit k for the press at
+       (-k, Q), is the part of degree >= 1 of S (1 + 1/z)^-Q, that is of
+       the quotient of S z^Q by (1+z)^Q.  Its t-axis lamps are Q - k - r
+       for the r <= Q - k with r & (k - 1) == 0, that is Q - 1 - i for
+       the i < Q that contain k - 1: T ^= rev_Q(subset sums of
+       (C >> 1) mod 2^Q), shifted to lamp 0.
+
+    The lamps left lit are S's when e_p >= 0 and T's when e_p < 0.
     """
     if budget is None:
         budget = _Budget(None, "witness word")
-    path, pairs, span = _plan(g)
-    # The walk's vertices, halfplane_bound(g) moves, and a residual slot for
-    # each lamp of g.
-    walk = 2 * span - abs(g.pos[0]) - abs(g.pos[1])
-    budget.spend(_SOLVE_COST + _WALK_COST * (walk + 1) + _SLOT_COST * len(g.lamps))
-    presses = set()
-    if span in FRAME_SPANS:
-        # Every walked vertex, and so every press, is inside the frame.
-        budget.spend(_FRAME_COST)
-        s_axis, t_axis = frame_bits(g.lamps)
-        for vertex, (i, j) in pairs:
-            if (s_axis >> (i + FRAME) if i else t_axis >> (j + FRAME)) & 1:
-                budget.spend(_PRESS_COST)
-                s_bits, t_bits = frame_press(vertex)
-                s_axis ^= s_bits
-                t_axis ^= t_bits
-                presses.add(vertex)
-        residual = frame_lamps(s_axis, t_axis)
-    else:
-        residual = set(g.lamps)
-        for vertex, pivot in pairs:
-            if pivot in residual:
-                budget.spend(_PRESS_COST)
-                residual ^= budget.press(vertex)
-                presses.add(vertex)
-    budget.spend(_PRESS_COST * len(residual))
-    return _word_from_path(path, presses.union(residual))
+    path, box = _plan(g)
+    # The walk's vertices, halfplane_bound(g) moves.
+    walk = 2 * sum(box) - abs(g.pos[0]) - abs(g.pos[1])
+    budget.spend(_SOLVE_COST + _WALK_COST * (walk + 1))
+    presses, residual = _solve(g, box, budget)
+    return _word_from_path(path, presses + residual)
 
 
 def exact_distance(

@@ -203,7 +203,9 @@ def band_presses(draw):
 def assert_frame_press_is_the_effect(pos):
     s_axis, t_axis = core.frame_press(pos)
     effect = press_effect(pos)
-    assert core.frame_bits(effect) == (s_axis, t_axis), pos
+    s_bits = sum(1 << (i + core.FRAME) for i, j in effect if i)
+    t_bits = sum(1 << (j + core.FRAME) for i, j in effect if not i)
+    assert (s_bits, t_bits) == (s_axis, t_axis), pos
     lamps = core.frame_lamps(s_axis, t_axis)
     assert len(lamps) == len(effect) and set(lamps) == effect, pos
     assert max(s_axis.bit_length(), t_axis.bit_length()) <= 2 * core.FRAME, pos
@@ -216,7 +218,7 @@ class TestFramePress:
             (p, q)
             for p in range(-40, 41)
             for q in range(-40, 41)
-            if abs(p) + abs(q) in core.FRAME_SPANS
+            if core.FRAME_MIN_SPAN <= abs(p) + abs(q) < core.FRAME
         ]
         assert (-30, 10) in band
         for pos in band:

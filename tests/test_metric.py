@@ -10,7 +10,7 @@ from pathlib import Path
 from sys import getsizeof
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from lampgrid import (
@@ -119,6 +119,55 @@ def far_elements(draw, limit=core.COORD_LIMIT, span=2**12):
         st.integers(-limit, limit).map(lambda j: (0, j)),
     )
     return Element(frozenset(draw(st.lists(stand, max_size=3))), (p, q))
+
+
+def sweep_pairs(g):
+    """The (vertex, pivot) pairs of witness_word's sweeps, in its order."""
+    F, D, P, Q = metric._box(g)
+    ep, eq = g.pos
+    base = -D if eq >= 0 else 0
+    x = P if ep >= 0 else -F
+    pairs = [((x, q), (0, q)) for q in range(-D, base)]
+    if ep >= 0:
+        pairs += [((P, q), (0, P + q)) for q in range(Q, base - 1, -1)]
+        pairs += [((p, base), (0, p + base)) for p in range(P - 1, -1, -1)]
+    else:
+        pairs += [((-k, Q), (-k, 0)) for k in range(F, 0, -1)]
+    return pairs
+
+
+def solve_by_vertex(g):
+    """The solve vertex by vertex, the oracle of metric._solve: in the order
+    of the sweeps, press each vertex whose pivot is lit.  Returns the
+    presses and the lamps left lit."""
+    residual, presses = set(g.lamps), set()
+    for vertex, pivot in sweep_pairs(g):
+        if pivot in residual:
+            residual ^= press_effect(vertex)
+            presses.add(vertex)
+    return presses, residual
+
+
+@st.composite
+def boxed_elements(draw):
+    """Elements in every sign case of g.pos, each of the box's extents F, D,
+    P and Q zero or not, in boxes from a few lamps to past 1,024 wide: the
+    widest draw a lamp past (0, 1024), so P + Q >= 1025."""
+    least, most = draw(st.sampled_from(((1, 3), (4, 40), (300, 1100))))
+    extent = st.one_of(st.just(0), st.integers(least, most))
+    far, low = draw(extent), draw(extent)
+    top = draw(st.integers(1025, most) if most > 1024 else extent)
+    pos = tuple(draw(extent) * draw(st.sampled_from((1, -1))) for _ in range(2))
+    # A seeded Random, not st.randoms(): each draw of that takes from
+    # hypothesis's buffer, which a wide box's lamps would overrun.
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = rng.random()
+    stand = [(-i, 0) for i in range(1, far)] + [(0, j) for j in range(1 - low, top)]
+    lamps = {pt for pt in stand if rng.random() < density}
+    lamps.update(pt for pt in ((-far, 0), (0, -low), (0, top)) if pt != (0, 0))
+    if rng.random() < 0.5:
+        lamps ^= {(0, 0)}
+    return Element(frozenset(lamps), pos)
 
 
 class TestHexagon:
@@ -420,17 +469,11 @@ class TestBoxTour:
                     assert evaluate(word) == g, g
                     assert a_length(word) == halfplane_bound(g) + (g == A_ELEMENT), g
 
-    @pytest.mark.parametrize("span, in_frame", [(1023, True), (1024, False)])
-    def test_replays_at_the_band_edge(self, monkeypatch, span, in_frame):
-        # Boxes with F + D + P + Q at the band's upper edge, one per sign
-        # case of g.pos: the solve is in the frame just inside it.
-        framed = []
-
-        def counted(pos):
-            framed.append(pos)
-            return core.frame_press(pos)
-
-        monkeypatch.setattr(metric, "frame_press", counted)
+    @pytest.mark.parametrize("span", [1023, 1024])
+    def test_replays_at_the_band_edge(self, span):
+        # Boxes with F + D + P + Q at the upper edge of core's frame band,
+        # one per sign case of g.pos: the witness replays at its bound on
+        # either side of it.
         rng = random.Random(span)
         extra = span - 1023
         for pos, far, low, top in [
@@ -444,33 +487,50 @@ class TestBoxTour:
             lamps.update(pt for pt in stand if rng.random() < 0.05)
             g = Element(frozenset(lamps), pos)
             assert sum(metric._box(g)) == span, pos
-            framed.clear()
             word = witness_word(g)
-            assert bool(framed) == in_frame, pos
             assert (a_length(word), evaluate(word)) == (length_lower_bound(g), g), pos
 
     def test_each_press_settles_its_pivot_for_good(self):
         # The back-substitution lemma, pair by pair, on every box of lamps on
-        # H_3's lampstand (the plan reads the lamps only through their
+        # H_3's lampstand (the sweeps read the lamps only through their
         # extremes) and every position in {-7..7}^2.
         for top, low, far in product(range(4), repeat=3):
             lamps = frozenset({(0, top), (0, -low), (-far, 0)} - {(0, 0)})
             for pos in product(range(-7, 8), repeat=2):
                 g = Element(lamps, pos)
-                path, pairs, span = metric._plan(g)
+                path, box = metric._plan(g)
                 walked = set(fuse_by_vertex(path, ())[1])
                 pivots = set()
-                for vertex, pivot in pairs:
+                for vertex, pivot in sweep_pairs(g):
                     effect = press_effect(vertex)
                     assert pivot in effect, (g, vertex)
                     assert not effect & pivots, (g, vertex)
                     assert vertex in walked, (g, vertex)
                     pivots.add(pivot)
-                F, D, P, Q = metric._box(g)
-                assert span == F + D + P + Q, g
-                assert all(abs(p) + abs(q) <= span for p, q in walked), g
+                F, D, P, Q = box
+                assert box == metric._box(g), g
+                assert all(abs(p) + abs(q) <= F + D + P + Q for p, q in walked), g
                 stand = {(-i, 0) for i in range(1, F + 1)} | {(0, j) for j in range(-D, P + Q + 1)}
                 assert stand - pivots <= walked, g
+
+    @given(boxed_elements())
+    @settings(max_examples=150)
+    @example(identity())
+    @example(A_ELEMENT)
+    @example(Element(frozenset(), (3, -2)))
+    @example(Element(press_effect((4095, 0)), (4095, 0)))
+    def test_solve_is_back_substitution(self, g):
+        presses, residual = metric._solve(g, metric._box(g), metric._Budget(None, "solve"))
+        assert (set(presses), set(residual)) == solve_by_vertex(g), g
+        assert len(presses) == len(set(presses)) and len(residual) == len(set(residual)), g
+
+    def test_solve_of_a_lamp_past_every_cache(self):
+        # Lamp (0, 32767) from the row q = 0: x^32767 = ((1+x) + 1)^32767,
+        # and every binomial of 2^15 - 1 is odd, so every press of the row.
+        g = Element(frozenset({(0, 32767)}), (32767, 0))
+        presses, residual = metric._solve(g, metric._box(g), metric._Budget(None, "solve"))
+        assert sorted(presses) == [(p, 0) for p in range(32768)]
+        assert residual == []
 
     def test_origin_press_is_one_letter_over(self):
         word = witness_word(A_ELEMENT)
@@ -556,12 +616,13 @@ class TestBudget:
             lambda: exact_distance(make_gn(2)[0], 12),
             lambda: search_distance(make_gn(2)[0], 12),
             lambda: cold_tour(random_element(24, 3)),
+            lambda: cold_tour(random_element(400, 3)),
             far_search,
         ],
         ids=[
             *(f"ball-{r}" for r in range(1, 6)),
             "ball", "ball-8", "spheres-6", "spheres-8", "distance", "distance-search", "distance-wide-tour",
-            "distance-search-far",
+            "distance-wider-tour", "distance-search-far",
         ],
     )
     def test_charge_covers_traced_peak(self, monkeypatch, search):
